@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 from .findings import Finding, make_finding
 from .rules import Rulebook

@@ -17,7 +17,13 @@ from .scheduler import (
     ShardedBackboneWorkers,
     StripedLocks,
 )
-from .server import QueryBudgetExceeded, ServerStats, VaultServer, zipf_workload
+from .server import (
+    InvalidQuery,
+    QueryBudgetExceeded,
+    ServerStats,
+    VaultServer,
+    zipf_workload,
+)
 from .updates import GraphUpdate, extend_adjacency, seal_graph_update
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "EnclaveSupervisor",
     "GraphUpdate",
     "InferenceProfile",
+    "InvalidQuery",
     "MicroBatchScheduler",
     "RecoveryPolicy",
     "PipelineStats",

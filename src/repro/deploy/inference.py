@@ -13,7 +13,7 @@ blobs the enclave unseals internally.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class SecureInferenceSession:
         # enclave instances for this rectifier from sealed snapshots.
         self._rectifier = rectifier
         self._fault_injector: Optional[FaultInjector] = None
+        # ECALL cost tallies of enclave instances retired by
+        # rebuild_enclave; ecall_cost_totals adds the live instance's.
+        self._retired_ecall_totals: Dict[str, float] = {}
 
         # --- vendor-side provisioning ceremony ---------------------------
         # Telemetry is wired up *before* the ceremony so the attestation
@@ -168,8 +171,31 @@ class SecureInferenceSession:
         )
         enclave.restore_snapshot(snapshot)
         enclave.attach_fault_injector(self._fault_injector)
+        self._retired_ecall_totals = self.ecall_cost_totals()
         self.enclave = enclave
         return enclave
+
+    def ecall_cost_totals(self) -> Dict[str, float]:
+        """Lifetime ECALL cost tallies of this deployment.
+
+        The sum over every enclave instance the session has run: those
+        retired by :meth:`rebuild_enclave` plus the live one. A per-batch
+        delta or a ledger reconciliation taken across an enclave restart
+        stays exact, where the live instance's own
+        :meth:`RectifierEnclave.ecall_cost_totals` restarts from zero.
+        """
+        retired = self._retired_ecall_totals
+        return {
+            key: retired.get(key, 0) + value
+            for key, value in self.enclave.ecall_cost_totals().items()
+        }
+
+    @property
+    def ecall_count(self) -> int:
+        """``ecall_cost_totals()["ecall_count"]`` without building the
+        dict: the serving path reads it around every observed batch."""
+        return (self._retired_ecall_totals.get("ecall_count", 0)
+                + self.enclave.ecall_transitions)
 
     def backbone_labels(self, embeddings: Sequence[np.ndarray], node_ids) -> np.ndarray:
         """Backbone-only predictions for degraded (non-rectified) serving.
@@ -272,35 +298,11 @@ class SecureInferenceSession:
         node_ids,
         backbone_seconds: float = 0.0,
     ) -> Tuple[np.ndarray, InferenceProfile]:
-        """Per-node inference from already-computed backbone embeddings.
-
-        The serving fast path: :class:`~repro.deploy.server.VaultServer`
-        computes the untrusted half once per feature version via
-        :meth:`embed` and answers the whole query stream from it, paying
-        ``backbone_seconds = 0`` on cache hits. Correctness is unchanged —
-        the enclave receives exactly the payload :meth:`predict_nodes`
-        would have pushed.
-        """
-        embeddings = [np.asarray(e, dtype=np.float64) for e in embeddings]
-        if embeddings and embeddings[0].shape[0] != self._num_nodes:
-            raise ValueError(
-                f"embeddings cover {embeddings[0].shape[0]} nodes, deployment "
-                f"expects {self._num_nodes}"
-            )
-        channel = self._fresh_channel()
-        for layer in self._rectifier_consumed:
-            channel.push(embeddings[layer], description=f"backbone_layer_{layer}")
-        report = self.enclave.ecall_infer_nodes(channel, list(node_ids))
-        labels = channel.collect().labels
-        profile = InferenceProfile(
-            backbone_seconds=backbone_seconds,
-            transfer_seconds=report.transfer_seconds,
-            enclave_seconds=report.enclave_seconds,
-            paging_seconds=report.paging_seconds,
-            payload_bytes=report.payload_bytes,
-            peak_enclave_memory_bytes=report.peak_memory_bytes,
+        """One request's labels from already-computed backbone embeddings
+        (a micro-batch of one; see :meth:`predict_microbatch_precomputed`)."""
+        return self.predict_microbatch_precomputed(
+            embeddings, [node_ids], backbone_seconds=backbone_seconds
         )
-        return labels, profile
 
     def predict_microbatch_precomputed(
         self,
@@ -309,6 +311,12 @@ class SecureInferenceSession:
         backbone_seconds: float = 0.0,
     ) -> Tuple[np.ndarray, InferenceProfile]:
         """Answer a micro-batch of queries with a single amortised ECALL.
+
+        The one inference call of the serving path, for a sequential
+        request (a batch of one) and a scheduler micro-batch alike: the
+        server computes the untrusted half once per feature version via
+        :meth:`embed` and answers the whole query stream from it, paying
+        ``backbone_seconds = 0`` on cache hits.
 
         The consumed backbone embeddings are staged as one coalesced
         payload block (:meth:`OneWayChannel.push_coalesced`) and the

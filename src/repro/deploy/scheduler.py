@@ -42,8 +42,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import RecoveryFailed
-from .resilience import DEGRADED_BACKBONE_ONLY, RETRYABLE_ERRORS
+from .server import _PendingQuery, _StagedBatch
 
 
 class SchedulerOverloaded(RuntimeError):
@@ -191,75 +190,6 @@ class ShardedBackboneWorkers:
         return outputs
 
 
-class _PendingQuery:
-    """One admitted request: target ids, owner, and a completion event."""
-
-    __slots__ = ("node_ids", "client", "labels", "error", "_done", "queued_at",
-                 "degraded", "corr_id")
-
-    def __init__(self, node_ids: Tuple[int, ...], client: str,
-                 corr_id: Optional[str] = None) -> None:
-        self.node_ids = node_ids
-        self.client = client
-        self.labels: Optional[np.ndarray] = None
-        self.error: Optional[BaseException] = None
-        self._done = threading.Event()
-        self.queued_at = time.perf_counter()
-        #: True when the answer is a backbone-only (non-rectified)
-        #: prediction served while the enclave was unrecoverable.
-        self.degraded = False
-        #: correlation id minted at admission (None without a logger);
-        #: joins this query's log lines to its micro-batch timeline.
-        self.corr_id = corr_id
-
-    def _resolve(self, labels: np.ndarray, degraded: bool = False) -> None:
-        self.labels = labels
-        self.degraded = degraded
-        self._done.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self.error = error
-        self._done.set()
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        if not self._done.wait(timeout):
-            # Exception text travels beyond the issuing client (operator
-            # logs, alert payloads), so echo the query size, not the ids.
-            raise TimeoutError(
-                f"query for {len(self.node_ids)} nodes not answered "
-                f"in {timeout}s"
-            )
-        if self.error is not None:
-            raise self.error
-        return self.labels
-
-
-class _StagedBatch:
-    """Stage-U output waiting in the double buffer for the enclave.
-
-    Carries the batch's boundary timestamps (``perf_counter``) across
-    the thread handoff so the profiling layer can reconstruct the full
-    pipeline timeline on the enclave-worker side.
-    """
-
-    __slots__ = ("requests", "embeddings", "backbone_seconds",
-                 "staged_seconds", "overlapped", "queued_at",
-                 "collect_start", "stage_start", "stage_end")
-
-    def __init__(self, requests, embeddings, backbone_seconds,
-                 staged_seconds, overlapped, queued_at=0.0,
-                 collect_start=0.0, stage_start=0.0, stage_end=0.0) -> None:
-        self.requests = requests
-        self.embeddings = embeddings
-        self.backbone_seconds = backbone_seconds
-        self.staged_seconds = staged_seconds
-        self.overlapped = overlapped
-        self.queued_at = queued_at
-        self.collect_start = collect_start
-        self.stage_start = stage_start
-        self.stage_end = stage_end
-
-
 class PipelineStats:
     """Thread-safe aggregate view of the pipeline's behaviour."""
 
@@ -382,8 +312,10 @@ class MicroBatchScheduler:
     batches from the admission queue and runs stage U (embedding-cache
     resolution, optionally through :class:`ShardedBackboneWorkers`); the
     **enclave worker** takes staged batches from a depth-one handoff and
-    issues the single ECALL per batch. While the enclave executes batch
-    *i*, the collector stages batch *i+1* — the double buffer.
+    hands each to :meth:`VaultServer._execute_batch
+    <repro.deploy.server.VaultServer._execute_batch>`, the one ECALL step
+    the sequential path runs too. While the enclave executes batch *i*,
+    the collector stages batch *i+1* — the double buffer.
     """
 
     def __init__(self, server, policy: Optional[BatchPolicy] = None,
@@ -395,14 +327,13 @@ class MicroBatchScheduler:
         self.stats = PipelineStats()
         #: optional :class:`~repro.obs.profiling.PipelineProfiler`; when
         #: attached, every batch records a full boundary-timestamp
-        #: timeline (one dataclass + one deque append per batch).
+        #: timeline (one raw-tuple deque append per batch).
         self.profiler = profiler
         #: optional :class:`~repro.deploy.resilience.EnclaveSupervisor`;
         #: when attached (directly or inherited from the server at
         #: :meth:`start`), the enclave worker routes every ECALL through
         #: its bounded retry + crash-recovery loop.
         self.supervisor = None
-        self._batch_seq = 0
         self._queue: Deque[_PendingQuery] = deque()
         self._cv = threading.Condition()  # guards queue/paused/inflight/running
         self._handoff: "queue.Queue[Optional[_StagedBatch]]" = queue.Queue(maxsize=1)
@@ -477,10 +408,13 @@ class MicroBatchScheduler:
     # Admission (any client thread)
     # ------------------------------------------------------------------
     def submit(self, node_ids: Sequence[int], client: str = "default") -> _PendingQuery:
-        """Admit one request; returns a handle whose ``result()`` blocks."""
-        node_ids = tuple(int(n) for n in node_ids)
-        if not node_ids:
-            raise ValueError("empty query")
+        """Admit one request; returns a handle whose ``result()`` blocks.
+
+        Ids pass the server's admission check first, so a malformed
+        request raises :class:`~repro.deploy.server.InvalidQuery` here
+        and never joins a batch.
+        """
+        node_ids = self._server._validate_ids(node_ids)
         budget = self._server.query_budget
         if budget is not None:
             with self._admit_lock:
@@ -505,16 +439,7 @@ class MicroBatchScheduler:
                         f"(cap {cap})"
                     )
                 self._client_inflight[client] = inflight + 1
-        corr_id = None
-        log = self._server.logger
-        if log is not None:
-            corr_id = log.mint()
-            log.emit(
-                "admit", corr=corr_id,
-                tenant=self._server._tenant_token(client),
-                size_count=len(node_ids),
-            )
-        request = _PendingQuery(node_ids, client, corr_id=corr_id)
+        request = self._server._admit(node_ids, client)
         with self._cv:
             if not self._running:
                 raise RuntimeError("scheduler is not running")
@@ -618,8 +543,7 @@ class MicroBatchScheduler:
             try:
                 staged = self._stage(batch, collect_start)
             except BaseException as exc:  # stage-U failure fails the batch
-                for request in batch:
-                    request._fail(exc)
+                self._server._fail_batch(batch, exc)
                 self._finish_batch(batch)
                 continue
             self._handoff.put(staged)  # blocks while the enclave is busy
@@ -646,15 +570,14 @@ class MicroBatchScheduler:
             workers=self.backbone_workers
         )
         stage_end = time.perf_counter()
-        staged_seconds = stage_end - start
         # clamp: the unlocked busy-ledger read can race the worker's
         # accumulate-then-clear and come back marginally negative
         overlapped = min(
-            staged_seconds,
+            stage_end - start,
             max(0.0, self._enclave_busy_seconds() - busy_before),
         )
         return _StagedBatch(
-            batch, embeddings, backbone_seconds, staged_seconds, overlapped,
+            batch, embeddings, backbone_seconds, overlapped,
             queued_at=min(request.queued_at for request in batch),
             collect_start=collect_start, stage_start=start,
             stage_end=stage_end,
@@ -670,210 +593,13 @@ class MicroBatchScheduler:
                 break
             self._busy_start = time.perf_counter()
             try:
-                self._execute(staged)
+                self._server._execute_batch(
+                    staged, self.profiler, self.supervisor, self.stats
+                )
             finally:
                 self._busy_accum += time.perf_counter() - self._busy_start
                 self._busy_start = None
                 self._finish_batch(staged.requests)
-
-    def _execute(self, staged: _StagedBatch) -> None:
-        server = self._server
-        requests = staged.requests
-        node_lists = [request.node_ids for request in requests]
-        total = sum(len(ids) for ids in node_lists)
-        tracer = server.telemetry.tracer
-        record = tracer.open_record("query", total)
-        profiler = self.profiler
-        tenancy = server.tenancy
-        log = server.logger
-        self._batch_seq += 1
-        batch_seq = self._batch_seq
-        if log is not None:
-            # join lines: every admitted query names the micro-batch it
-            # coalesced into, so corr ids map to exactly one batch_seq.
-            for request in requests:
-                if request.corr_id is not None:
-                    log.emit(
-                        "batch", corr=request.corr_id,
-                        tenant=server._tenant_token(request.client),
-                        batch_seq=batch_seq,
-                        size_count=len(request.node_ids),
-                    )
-        ecalls_before = (
-            server._session.enclave.ecall_transitions
-            if profiler is not None or tenancy is not None else 0
-        )
-        profile = None
-        supervisor = self.supervisor
-        on_retry = None
-        if log is not None:
-            def on_retry(attempt, exc, _seq=batch_seq):
-                server._log_retry(attempt, exc, batch_seq=_seq)
-        start = time.perf_counter()
-        try:
-            if supervisor is None:
-                labels, profile = server._session.predict_microbatch_precomputed(
-                    staged.embeddings, node_lists,
-                    backbone_seconds=staged.backbone_seconds,
-                )
-            else:
-                # Bounded retry + crash recovery: a retried batch crosses
-                # a fresh one-way channel like any other push; a killed
-                # enclave is re-provisioned from the sealed snapshot
-                # (after re-attestation) before the replay.
-                labels, profile = supervisor.call_with_retry(
-                    lambda: server._session.predict_microbatch_precomputed(
-                        staged.embeddings, node_lists,
-                        backbone_seconds=staged.backbone_seconds,
-                    ),
-                    queued_at=staged.queued_at,
-                    on_retry=on_retry,
-                )
-        except BaseException as exc:
-            tracer.close_record(record, staged.backbone_seconds, None)
-            if self._resolve_degraded(staged, exc):
-                if log is not None:
-                    for request in requests:
-                        if request.corr_id is not None:
-                            log.emit(
-                                "resolve", corr=request.corr_id,
-                                tenant=server._tenant_token(request.client),
-                                seconds=time.perf_counter() - request.queued_at,
-                                degraded=True,
-                            )
-                return
-            for request in requests:
-                request._fail(exc)
-                if log is not None and request.corr_id is not None:
-                    log.emit(
-                        "drop", corr=request.corr_id,
-                        tenant=server._tenant_token(request.client),
-                        error=type(exc).__name__,
-                    )
-            return
-        finally:
-            if profile is not None:
-                tracer.close_record(
-                    record, staged.backbone_seconds, profile.total_seconds
-                )
-        enclave_seconds = time.perf_counter() - start
-        server._complete_microbatch(
-            node_lists, [request.client for request in requests], profile
-        )
-        unique = len({t for ids in node_lists for t in ids})
-        self.stats.record_batch(
-            len(requests), total, unique, staged.staged_seconds,
-            enclave_seconds, staged.overlapped,
-        )
-        session = server._session
-        ecall_delta = (
-            session.enclave.ecall_transitions - ecalls_before
-            if profiler is not None or tenancy is not None else 0
-        )
-        cost = None
-        if profiler is not None or (log is not None and tenancy is not None):
-            from ..obs.profiling import enclave_cost_record
-
-            cost = enclave_cost_record(
-                profile,
-                ecall_count=ecall_delta,
-                cost_model=session.enclave.config.cost_model,
-            )
-        if tenancy is not None:
-            # deferred attribution: the enclave worker only snapshots the
-            # batch; the ledger folds it at read time (report/reconcile/
-            # quota check), keeping the pipeline's critical path clear.
-            tenancy.defer_batch(
-                tuple(
-                    (request.client, request.node_ids) for request in requests
-                ),
-                profile, ecall_delta, session.enclave.config.cost_model,
-                enclave_seconds,
-            )
-        if log is not None:
-            fields = dict(
-                batch_seq=batch_seq, queries_count=len(requests),
-                unique_count=unique, seconds=enclave_seconds,
-            )
-            if cost is not None:
-                fields["pages_count"] = cost["paging_pages"]
-                fields["payload_bytes"] = cost["payload_bytes"]
-            log.emit("ecall", **fields)
-        offset = 0
-        for request in requests:
-            request._resolve(labels[offset:offset + len(request.node_ids)])
-            offset += len(request.node_ids)
-            if log is not None and request.corr_id is not None:
-                log.emit(
-                    "resolve", corr=request.corr_id,
-                    tenant=server._tenant_token(request.client),
-                    seconds=time.perf_counter() - request.queued_at,
-                )
-        if profiler is not None:
-            self._record_timeline(
-                staged, total, unique, start, start + enclave_seconds,
-                profile, cost, batch_seq,
-            )
-
-    def _resolve_degraded(self, staged: _StagedBatch,
-                          exc: BaseException) -> bool:
-        """Opt-in failover: answer a failed batch with backbone-only labels.
-
-        Only when the supervisor is permanently degraded, the policy
-        allows ``backbone_only`` mode, and the failure was an
-        availability event (not a logic error). The answers are computed
-        entirely in the untrusted world from the already-staged
-        embeddings — the dead enclave is never touched and nothing
-        crosses the one-way channel — and every request is resolved with
-        ``degraded=True`` so callers can tell the labels are
-        non-rectified.
-        """
-        supervisor = self.supervisor
-        if (supervisor is None
-                or not supervisor.degraded
-                or supervisor.policy.degraded_mode != DEGRADED_BACKBONE_ONLY
-                or not isinstance(exc, (RecoveryFailed,) + RETRYABLE_ERRORS)):
-            return False
-        requests = staged.requests
-        flat = [t for request in requests for t in request.node_ids]
-        fallback = self._server._session.backbone_labels(staged.embeddings, flat)
-        supervisor.note_degraded(len(requests))
-        offset = 0
-        for request in requests:
-            request._resolve(
-                fallback[offset:offset + len(request.node_ids)], degraded=True
-            )
-            offset += len(request.node_ids)
-        return True
-
-    def _record_timeline(self, staged: _StagedBatch, total: int, unique: int,
-                         execute_start: float, execute_end: float,
-                         profile, cost, batch_seq: int) -> None:
-        """Assemble and record one batch's pipeline timeline.
-
-        Runs on the enclave-worker thread after the batch resolved, so
-        it is off every request's critical path. ``batch_seq`` is the
-        same sequence number stamped on this batch's log lines, so a
-        structured-log ``batch`` event joins to exactly one timeline.
-        """
-        from ..obs.profiling import BatchTimeline
-
-        self.profiler.record(BatchTimeline(
-            index=batch_seq,
-            num_queries=len(staged.requests),
-            targets_requested=total,
-            targets_unique=unique,
-            queued_at=staged.queued_at,
-            collect_start=staged.collect_start,
-            stage_start=staged.stage_start,
-            stage_end=staged.stage_end,
-            execute_start=execute_start,
-            execute_end=execute_end,
-            done_at=time.perf_counter(),
-            overlap_seconds=staged.overlapped,
-            profile=profile,
-            cost=cost,
-        ))
 
     # ------------------------------------------------------------------
     # Bookkeeping

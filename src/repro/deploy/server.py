@@ -20,6 +20,7 @@ pass. :class:`VaultServer` adds the serving machinery around
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
@@ -176,12 +177,89 @@ class QueryBudgetExceeded(SecurityViolation):
     """Raised when a client exhausts its query budget (rate limiting)."""
 
 
+class InvalidQuery(ValueError):
+    """Admission refused: a query id is not a node id of the served graph."""
+
+
+class _PendingQuery:
+    """One admitted request: target ids, owner, and a completion latch."""
+
+    __slots__ = ("node_ids", "client", "labels", "error", "_done", "queued_at",
+                 "degraded", "corr_id")
+
+    def __init__(self, node_ids: Tuple[int, ...], client: str,
+                 corr_id: Optional[str] = None) -> None:
+        self.node_ids = node_ids
+        self.client = client
+        self.labels: Optional[np.ndarray] = None
+        self.error: Optional[BaseException] = None
+        # A latch: held from admission until the request resolves or
+        # fails. A bare lock costs a fraction of a threading.Event, which
+        # matters on the sequential path, where every query makes one.
+        self._done = threading.Lock()
+        self._done.acquire()
+        self.queued_at = time.perf_counter()
+        #: True when the answer is a backbone-only (non-rectified)
+        #: prediction served while the enclave was unrecoverable.
+        self.degraded = False
+        #: correlation id minted at admission (None without a logger);
+        #: joins this query's log lines to its batch's timeline.
+        self.corr_id = corr_id
+
+    def _resolve(self, labels: np.ndarray, degraded: bool = False) -> None:
+        self.labels = labels
+        self.degraded = degraded
+        self._done.release()
+
+    def _fail(self, error: BaseException) -> None:
+        self.error = error
+        self._done.release()
+
+    def result(self, timeout: Optional[float] = None) -> np.ndarray:
+        done = self._done
+        wait = (-1 if timeout is None
+                else min(max(0.0, timeout), threading.TIMEOUT_MAX))
+        if not done.acquire(timeout=wait):
+            # Exception text travels beyond the issuing client (operator
+            # logs, alert payloads), so echo the query size, not the ids.
+            raise TimeoutError(
+                f"query for {len(self.node_ids)} nodes not answered "
+                f"in {timeout}s"
+            )
+        done.release()  # open again for any other waiter
+        if self.error is not None:
+            raise self.error
+        return self.labels
+
+
+class _StagedBatch:
+    """Requests plus their resolved embeddings, ready for the enclave.
+
+    Carries the batch's boundary timestamps (``perf_counter``) so the
+    profiler can reconstruct the full timeline where the batch executes.
+    """
+
+    __slots__ = ("requests", "embeddings", "backbone_seconds", "overlapped",
+                 "queued_at", "collect_start", "stage_start", "stage_end")
+
+    def __init__(self, requests, embeddings, backbone_seconds, overlapped,
+                 queued_at, collect_start, stage_start, stage_end) -> None:
+        self.requests = requests
+        self.embeddings = embeddings
+        self.backbone_seconds = backbone_seconds
+        self.overlapped = overlapped
+        self.queued_at = queued_at
+        self.collect_start = collect_start
+        self.stage_start = stage_start
+        self.stage_end = stage_end
+
+
 def _decode_query_trace(row: tuple) -> Span:
     """Materialise a compact serving record into its span tree.
 
     The serving path stores one flat tuple per query instead of ~10 span
     objects (see :meth:`repro.obs.tracing.Tracer.open_record`). Row
-    layout — written by :meth:`VaultServer.query_batch` with the ECALL
+    layout — written by :meth:`VaultServer._execute_batch` with the ECALL
     segment spliced in by ``EnclaveTelemetryGate.record_ecall``::
 
         ("query", wall_seconds, batch_size,
@@ -291,9 +369,13 @@ class VaultServer:
         # add_node fences through it so no in-flight batch straddles a
         # graph-version change.
         self._scheduler = None
+        # Batch sequence numbers for every executed batch, sequential or
+        # pipelined, so a log line's batch_seq names one batch for the
+        # server's lifetime. next() on a count is atomic under the GIL.
+        self._batch_seqs = itertools.count(1)
         # Optional continuous profiler for the *sequential* path: when
-        # attached, every query_batch records a BatchTimeline (queue /
-        # collect / handoff collapse to zero — there is no pipeline).
+        # attached, every query_batch records a BatchTimeline (queue and
+        # collect collapse to zero — there is no pipeline).
         # Detached, the hot path pays one attribute load + None check.
         self.profiler = None
         # Optional enclave supervisor: when attached, every ECALL-bearing
@@ -355,16 +437,6 @@ class VaultServer:
         from ..obs.tenancy import hash_tenant
 
         return hash_tenant(client)
-
-    def _log_retry(self, attempt: int, exc: BaseException,
-                   batch_seq: int = 0) -> None:
-        """Correlated ``retry`` line for a supervisor recovery hop."""
-        log = self.logger
-        if log is not None:
-            log.emit(
-                "retry", batch_seq=batch_seq, attempt_count=attempt,
-                error=type(exc).__name__,
-            )
 
     # ------------------------------------------------------------------
     # Resilience
@@ -448,163 +520,263 @@ class VaultServer:
     ) -> np.ndarray:
         """Answer a batch of node queries (one ECALL for the batch).
 
-        ``client`` identifies the requester for per-client query-pattern
-        monitoring and the audit trail; it never reaches the enclave.
+        The request runs as a micro-batch of one through
+        :meth:`_execute_batch`, the same step the scheduler's enclave
+        worker runs, with the embeddings resolved inline on the caller's
+        thread. ``client`` identifies the requester for per-client
+        query-pattern monitoring and the audit trail; it never reaches
+        the enclave.
         """
-        node_ids = [int(n) for n in node_ids]
-        if not node_ids:
-            raise ValueError("empty query batch")
+        node_ids = self._validate_ids(node_ids)
         if self.query_budget is not None:
             remaining = self.query_budget - self.stats.queries_served
             if len(node_ids) > remaining:
                 self._budget_exhausted(client, len(node_ids))
-        tracer = self.telemetry.tracer
-        record = tracer.open_record("query", len(node_ids))
-        profiler = self.profiler
-        tenancy = self.tenancy
-        log = self.logger
-        corr = None
-        if log is not None:
-            corr = log.mint()
-            log.emit(
-                "admit", corr=corr, tenant=self._tenant_token(client),
-                size_count=len(node_ids),
-            )
-        if profiler is not None:
-            started = time.perf_counter()
-        ecalls_before = (
-            self._session.enclave.ecall_transitions
-            if profiler is not None or tenancy is not None else 0
-        )
-        backbone_seconds = 0.0
-        staged_end = 0.0
-        profile = None
-        supervisor = self.supervisor
-        queued_at = time.perf_counter()
+        request = self._admit(node_ids, client)
         try:
             embeddings, backbone_seconds = self._embeddings()
-            if profiler is not None:
-                staged_end = time.perf_counter()
-            if supervisor is None:
-                labels, profile = self._session.predict_nodes_precomputed(
-                    embeddings, node_ids, backbone_seconds=backbone_seconds
+        except BaseException as exc:
+            self._fail_batch((request,), exc)
+            raise
+        queued_at = request.queued_at
+        # Queue wait and batch formation do not exist on this path, so
+        # their boundaries coincide at admission.
+        staged = _StagedBatch(
+            (request,), embeddings, backbone_seconds, overlapped=0.0,
+            queued_at=queued_at, collect_start=queued_at,
+            stage_start=queued_at, stage_end=time.perf_counter(),
+        )
+        self._execute_batch(staged, self.profiler, self.supervisor)
+        return request.result()
+
+    def _validate_ids(self, node_ids: Sequence[int]) -> Tuple[int, ...]:
+        """Admission check shared by :meth:`query_batch` and the scheduler.
+
+        Every id must be an ``int`` or numpy integer (``bool`` is not a
+        node id) naming a node of the current feature matrix. Anything
+        else raises :class:`InvalidQuery` before any ECALL runs or any
+        queue entry is made, so one malformed request can neither cost
+        an ECALL nor fail the tenants it would have been batched with.
+        The enclave keeps its own range check behind this one.
+        """
+        num_nodes = self._features.shape[0]
+        ids = []
+        for position, node in enumerate(node_ids):
+            if type(node) is bool or not isinstance(node, (int, np.integer)):
+                raise InvalidQuery(
+                    f"query id at position {position} is a "
+                    f"{type(node).__name__}, not an integer node id"
                 )
+            if not 0 <= node < num_nodes:
+                raise InvalidQuery(
+                    f"query id at position {position} is outside the "
+                    f"served graph"
+                )
+            ids.append(int(node))
+        if not ids:
+            raise InvalidQuery("empty query")
+        return tuple(ids)
+
+    def _admit(self, node_ids: Tuple[int, ...], client: str) -> "_PendingQuery":
+        """Wrap validated ids as one request, logging its ``admit`` line."""
+        corr_id = None
+        log = self.logger
+        if log is not None:
+            corr_id = log.mint()
+            log.emit(
+                "admit", corr=corr_id, tenant=self._tenant_token(client),
+                size_count=len(node_ids),
+            )
+        return _PendingQuery(node_ids, client, corr_id=corr_id)
+
+    def _execute_batch(self, staged: "_StagedBatch", profiler, supervisor,
+                       pipeline=None) -> None:
+        """Run one staged batch through the enclave and account for it.
+
+        The one ECALL execution step, for a sequential micro-batch of one
+        and for the scheduler's coalesced batches alike: the ``query``
+        trace record, the correlated log lines, the ECALL through the
+        supervisor's retry loop, the backbone-only fallback, and every
+        sink (stats, health, audit, tenant ledger, profiler, and the
+        scheduler's ``pipeline`` stats when given). Every request is
+        resolved or failed before this returns.
+        """
+        session = self._session
+        requests = staged.requests
+        node_lists = [request.node_ids for request in requests]
+        total = sum(len(ids) for ids in node_lists)
+        tracer = self.telemetry.tracer
+        tenancy = self.tenancy
+        log = self.logger
+        batch_seq = next(self._batch_seqs)
+        record = tracer.open_record("query", total)
+        on_retry = None
+        if log is not None:
+            # join lines: every admitted query names the batch it ran in,
+            # so corr ids map to exactly one batch_seq.
+            for request in requests:
+                if request.corr_id is not None:
+                    log.emit(
+                        "batch", corr=request.corr_id,
+                        tenant=self._tenant_token(request.client),
+                        batch_seq=batch_seq, size_count=len(request.node_ids),
+                    )
+
+            def on_retry(attempt, exc):
+                log.emit("retry", batch_seq=batch_seq, attempt_count=attempt,
+                         error=type(exc).__name__)
+
+        def ecall():
+            return session.predict_microbatch_precomputed(
+                staged.embeddings, node_lists,
+                backbone_seconds=staged.backbone_seconds,
+            )
+
+        counted = profiler is not None or tenancy is not None
+        # session-lifetime count: the delta stays right across a restart
+        ecalls_before = session.ecall_count if counted else 0
+        execute_start = time.perf_counter()
+        degraded = False
+        try:
+            if supervisor is None:
+                labels, profile = ecall()
             else:
-                labels, profile = self._rectify_with_recovery(
-                    supervisor, embeddings, node_ids, backbone_seconds,
-                    queued_at,
+                # Bounded retry + crash recovery: a retried batch crosses
+                # a fresh one-way channel like any other push; a killed
+                # enclave is re-provisioned from the sealed snapshot
+                # (after re-attestation) before the replay.
+                labels, profile = supervisor.call_with_retry(
+                    ecall, queued_at=staged.queued_at, on_retry=on_retry
                 )
         except BaseException as exc:
-            if log is not None and corr is not None:
-                log.emit(
-                    "drop", corr=corr, tenant=self._tenant_token(client),
-                    error=type(exc).__name__,
-                )
-            raise
-        finally:
-            tracer.close_record(
-                record, backbone_seconds,
-                None if profile is None else profile.total_seconds,
-            )
-        if profiler is not None:
-            execute_end = time.perf_counter()
-        self.stats.record_batch(node_ids, profile)
-        if tenancy is not None or log is not None:
-            ecall_wall = time.perf_counter() - queued_at
-        if tenancy is not None:
-            # deferred attribution: snapshot the raw inputs only; the
-            # ledger folds them at read time, like the profiler's
-            # deferred timeline construction.
-            enclave = self._session.enclave
-            tenancy.defer_batch(
-                ((client, node_ids),),
-                profile,
-                enclave.ecall_transitions - ecalls_before,
-                enclave.config.cost_model,
-                ecall_wall,
-            )
-        if log is not None:
-            log.emit(
-                "resolve", corr=corr, tenant=self._tenant_token(client),
-                seconds=ecall_wall,
+            fallback = self._resolve_degraded(staged, exc, supervisor)
+            if fallback is None:
+                tracer.close_record(record, staged.backbone_seconds, None)
+                self._fail_batch(requests, exc)
+                return
+            labels, profile = fallback
+            degraded = True
+        execute_end = time.perf_counter()
+        tracer.close_record(
+            record, staged.backbone_seconds, profile.total_seconds
+        )
+        execute_seconds = execute_end - execute_start
+        flat = [node for ids in node_lists for node in ids]
+        unique = len(set(flat))
+        self.stats.record_batch(flat, profile)
+        if pipeline is not None:
+            pipeline.record_batch(
+                len(requests), total, unique,
+                staged.stage_end - staged.stage_start, execute_seconds,
+                staged.overlapped,
             )
         health = self.health
         if health is not None or self.monitor is not None:
             with self._health_lock:
                 pending = self._health_pending
-                pending.append((((node_ids, client),), profile))
+                pending.append((
+                    tuple((request.node_ids, request.client)
+                          for request in requests),
+                    profile,
+                ))
                 drain = len(pending) >= self._health_drain_at
             if drain:
                 self.flush_health()
-        self.telemetry.audit.append(
-            "query_served", time=0.0 if health is None else health.now,
-            client=client, batch_count=len(node_ids),
-        )
-        if profiler is not None:
-            self._record_sequential_timeline(
-                profiler, node_ids, started, staged_end, execute_end,
-                profile, ecalls_before,
+        now = 0.0 if health is None else health.now
+        per_client: Dict[str, int] = {}
+        for request in requests:
+            per_client[request.client] = (
+                per_client.get(request.client, 0) + len(request.node_ids)
             )
-        return labels
+        for client, count in per_client.items():
+            self.telemetry.audit.append(
+                "query_served", time=now, client=client, batch_count=count,
+            )
+        cost_model = session.enclave.config.cost_model
+        ecall_count = session.ecall_count - ecalls_before if counted else 0
+        if tenancy is not None:
+            # deferred attribution: snapshot the raw inputs only; the
+            # ledger folds them at read time (report/reconcile/quota).
+            tenancy.defer_batch(
+                tuple((request.client, request.node_ids)
+                      for request in requests),
+                profile, ecall_count, cost_model, execute_seconds,
+            )
+        if log is not None and not degraded:
+            log.emit(
+                "ecall", batch_seq=batch_seq, queries_count=len(requests),
+                unique_count=unique, seconds=execute_seconds,
+                pages_count=profile.estimated_pages(cost_model),
+                payload_bytes=profile.payload_bytes,
+            )
+        offset = 0
+        for request in requests:
+            request._resolve(
+                labels[offset:offset + len(request.node_ids)], degraded
+            )
+            offset += len(request.node_ids)
+            if log is not None and request.corr_id is not None:
+                flags = {"degraded": True} if degraded else {}
+                log.emit(
+                    "resolve", corr=request.corr_id,
+                    tenant=self._tenant_token(request.client),
+                    seconds=time.perf_counter() - request.queued_at, **flags,
+                )
+        if profiler is not None:
+            # one raw tuple; the timeline and its cost record are built
+            # when a reader asks, off the serving path
+            profiler.record_stamps(
+                batch_seq, len(requests), total, unique,
+                (staged.queued_at, staged.collect_start, staged.stage_start,
+                 staged.stage_end, execute_start, execute_end,
+                 time.perf_counter()),
+                staged.overlapped, profile, ecall_count, cost_model,
+            )
 
-    def _rectify_with_recovery(
-        self, supervisor, embeddings, node_ids: Sequence[int],
-        backbone_seconds: float, queued_at: float,
-    ) -> Tuple[np.ndarray, InferenceProfile]:
-        """Sequential-path ECALL through the supervisor's retry loop.
+    def _resolve_degraded(self, staged: "_StagedBatch", exc: BaseException,
+                          supervisor):
+        """Opt-in failover: backbone-only labels for a failed batch.
 
-        Falls back to backbone-only labels (explicitly counted as
-        degraded) only when the supervisor is permanently degraded and
-        its policy opted into ``backbone_only`` mode; otherwise the
-        original failure propagates to the caller.
+        Only when the supervisor is permanently degraded, the policy
+        allows ``backbone_only`` mode, and the failure was an
+        availability event (not a logic error). The answers are computed
+        entirely in the untrusted world from the already-staged
+        embeddings — the dead enclave is never touched and nothing
+        crosses the one-way channel. Returns ``(labels, profile)`` with
+        a backbone-only profile, or ``None`` when the failure stands.
         """
         from .resilience import DEGRADED_BACKBONE_ONLY, RETRYABLE_ERRORS
 
-        try:
-            return supervisor.call_with_retry(
-                lambda: self._session.predict_nodes_precomputed(
-                    embeddings, node_ids, backbone_seconds=backbone_seconds
-                ),
-                queued_at=queued_at,
-                on_retry=self._log_retry,
-            )
-        except (RecoveryFailed, *RETRYABLE_ERRORS):
-            if (not supervisor.degraded
-                    or supervisor.policy.degraded_mode != DEGRADED_BACKBONE_ONLY):
-                raise
-            labels = self._session.backbone_labels(embeddings, node_ids)
-            supervisor.note_degraded(1)
-            profile = InferenceProfile(
-                backbone_seconds=backbone_seconds,
-                transfer_seconds=0.0,
-                enclave_seconds=0.0,
-                paging_seconds=0.0,
-                payload_bytes=0,
-                peak_enclave_memory_bytes=0,
-            )
-            return labels, profile
-
-    def _record_sequential_timeline(
-        self, profiler, node_ids: Sequence[int], started: float,
-        staged_end: float, execute_end: float, profile,
-        ecalls_before: int,
-    ) -> None:
-        """One sequential query batch as a (degenerate) pipeline timeline.
-
-        Queue wait, batch formation and the double-buffer handoff do not
-        exist on this path, so those boundaries coincide and the Gantt
-        shows only stage (backbone) / execute (ECALL) / egress
-        (accounting) — comparable side by side with scheduler timelines.
-        At ``batch_size=1`` this runs per query, so the profiler defers
-        timeline/cost-record construction off the hot path.
-        """
-        enclave = self._session.enclave
-        profiler.record_sequential(
-            len(node_ids), len(set(node_ids)), started, staged_end,
-            execute_end, time.perf_counter(), profile,
-            enclave.ecall_transitions - ecalls_before,
-            enclave.config.cost_model,
+        if (supervisor is None
+                or not supervisor.degraded
+                or supervisor.policy.degraded_mode != DEGRADED_BACKBONE_ONLY
+                or not isinstance(exc, (RecoveryFailed,) + RETRYABLE_ERRORS)):
+            return None
+        requests = staged.requests
+        flat = [node for request in requests for node in request.node_ids]
+        labels = self._session.backbone_labels(staged.embeddings, flat)
+        supervisor.note_degraded(len(requests))
+        return labels, InferenceProfile(
+            backbone_seconds=staged.backbone_seconds,
+            transfer_seconds=0.0,
+            enclave_seconds=0.0,
+            paging_seconds=0.0,
+            payload_bytes=0,
+            peak_enclave_memory_bytes=0,
         )
+
+    def _fail_batch(self, requests: Sequence["_PendingQuery"],
+                    exc: BaseException) -> None:
+        """Fail every request of a batch, logging a ``drop`` line each."""
+        log = self.logger
+        for request in requests:
+            request._fail(exc)
+            if log is not None and request.corr_id is not None:
+                log.emit(
+                    "drop", corr=request.corr_id,
+                    tenant=self._tenant_token(request.client),
+                    error=type(exc).__name__,
+                )
 
     def _budget_exhausted(self, client: str, batch_len: int) -> None:
         """Alert, audit, and refuse: a client ran its query budget dry."""
@@ -625,39 +797,6 @@ class VaultServer:
             f"query budget exhausted ({self.stats.queries_served}/"
             f"{self.query_budget} used, batch of {batch_len} denied)"
         )
-
-    def _complete_microbatch(
-        self,
-        node_lists: Sequence[Sequence[int]],
-        clients: Sequence[str],
-        profile,
-    ) -> None:
-        """Account one scheduler micro-batch: one ECALL, many requests.
-
-        Mirrors the tail of :meth:`query_batch` — stats, buffered health
-        observations, audit — but charges the (single) batch profile once
-        while keeping per-client attribution for the pattern monitor and
-        the audit trail. Called from the scheduler's enclave worker
-        thread; every touched structure is locked or append-only.
-        """
-        flat = [int(n) for ids in node_lists for n in ids]
-        self.stats.record_batch(flat, profile)
-        health = self.health
-        if health is not None or self.monitor is not None:
-            with self._health_lock:
-                pending = self._health_pending
-                pending.append((tuple(zip(node_lists, clients)), profile))
-                drain = len(pending) >= self._health_drain_at
-            if drain:
-                self.flush_health()
-        now = 0.0 if health is None else health.now
-        per_client: Dict[str, int] = {}
-        for ids, client in zip(node_lists, clients):
-            per_client[client] = per_client.get(client, 0) + len(ids)
-        for client, count in per_client.items():
-            self.telemetry.audit.append(
-                "query_served", time=now, client=client, batch_count=count,
-            )
 
     def flush_health(self) -> None:
         """Replay buffered observations into the health & monitor layer.

@@ -229,8 +229,9 @@ class BatchTimeline:
 class PipelineProfiler:
     """Low-overhead bounded collector of :class:`BatchTimeline` records.
 
-    The scheduler's enclave worker calls :meth:`record` once per batch
-    (a single ``deque.append``); readers materialise snapshots with
+    The serving path calls :meth:`record_stamps` once per executed batch
+    (a single ``deque.append`` of a raw tuple); :meth:`record` takes a
+    ready-made timeline. Readers materialise snapshots with
     :meth:`timelines`. The deque bound keeps memory constant under
     continuous serving.
     """
@@ -248,53 +249,42 @@ class PipelineProfiler:
         self.batches_recorded += 1
         self.queries_recorded += timeline.num_queries
 
-    def record_sequential(
-        self, num_queries: int, targets_unique: int, queued_at: float,
-        stage_end: float, execute_end: float, done_at: float,
+    def record_stamps(
+        self, index: int, num_queries: int, targets_requested: int,
+        targets_unique: int, stamps: tuple, overlap_seconds: float,
         profile, ecall_count: int, cost_model,
     ) -> None:
-        """Record one *sequential* (non-pipelined) batch, cheaply.
+        """Record one served batch from its seven boundary stamps, cheaply.
 
-        The sequential path pays this per ``query_batch`` call — at
-        ``batch_size=1`` that is per query — so the hot path appends one
-        raw tuple and defers all object construction (the timeline
+        The serving path calls this once per batch — at ``batch_size=1``
+        on the sequential path that is per query — so it appends one raw
+        tuple and defers all object construction (the timeline
         dataclass, the cost record, its gate validation) to
         :meth:`timelines`, which readers call off the serving path.
-        Queue wait, batch formation and the double-buffer handoff do not
-        exist here, so those boundaries coincide at ``queued_at``.
+        ``stamps`` holds ``queued_at, collect_start, stage_start,
+        stage_end, execute_start, execute_end, done_at`` in that order; a
+        sequential batch has no queue or batch formation, so its first
+        three stamps coincide.
         """
         self.batches_recorded += 1
         self.queries_recorded += num_queries
         self._timelines.append((
-            self.batches_recorded, num_queries, targets_unique, queued_at,
-            stage_end, execute_end, done_at, profile, ecall_count,
-            cost_model,
+            index, num_queries, targets_requested, targets_unique, stamps,
+            overlap_seconds, profile, ecall_count, cost_model,
         ))
 
     @staticmethod
     def _materialise(raw: tuple) -> BatchTimeline:
-        (index, num_queries, targets_unique, queued_at, stage_end,
-         execute_end, done_at, profile, ecall_count, cost_model) = raw
+        (index, num_queries, targets_requested, targets_unique, stamps,
+         overlap_seconds, profile, ecall_count, cost_model) = raw
         cost: Dict[str, float] = {}
         if profile is not None:
             cost = enclave_cost_record(
                 profile, ecall_count=ecall_count, cost_model=cost_model
             )
         return BatchTimeline(
-            index=index,
-            num_queries=num_queries,
-            targets_requested=num_queries,
-            targets_unique=targets_unique,
-            queued_at=queued_at,
-            collect_start=queued_at,
-            stage_start=queued_at,
-            stage_end=stage_end,
-            execute_start=stage_end,
-            execute_end=execute_end,
-            done_at=done_at,
-            overlap_seconds=0.0,
-            profile=profile,
-            cost=cost,
+            index, num_queries, targets_requested, targets_unique, *stamps,
+            overlap_seconds=overlap_seconds, profile=profile, cost=cost,
         )
 
     def timelines(self) -> List[BatchTimeline]:

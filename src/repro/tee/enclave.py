@@ -525,38 +525,9 @@ class RectifierEnclave:
     def ecall_infer_nodes(
         self, channel: OneWayChannel, targets: Sequence[int]
     ) -> EcallReport:
-        """Per-query inference: rectify only the targets' receptive field.
-
-        The untrusted world stages the full embedding matrices (it must not
-        learn which rows the enclave needs — that would leak edges), but the
-        enclave pulls in only the k-hop neighbourhood of the queried nodes
-        over the *private* graph, normalised with global degrees so the
-        target logits match a full-graph pass exactly. Enclave memory and
-        compute then scale with the neighbourhood, not the graph.
-
-        Access-pattern side channels (the OS observing which staged rows
-        the enclave touches) are out of scope, matching the paper's threat
-        model.
-        """
-        with self._tcs:
-            self._check_alive()
-            if not self.ready:
-                raise SecurityViolation(
-                    "enclave not provisioned (weights and graph must be unsealed first)"
-                )
-            self.ecall_transitions += 1
-            fault = self._fire_fault()
-            embeddings = self._drain_embeddings(channel)
-            labels_by_node, report = self._rectify_targets(embeddings, targets)
-            if fault is not None and fault.kind == FAULT_LATENCY:
-                report.transfer_seconds += fault.extra_seconds
-            # Label-only output, in the order the targets were queried.
-            ordered = np.asarray(
-                [labels_by_node[int(t)] for t in targets], dtype=np.int64
-            )
-            channel.publish(LabelOnlyResult(labels=ordered))
-            self._record_ecall_telemetry("per_node", report)
-            return report
+        """Per-query inference: one request's micro-batch ECALL (see
+        :meth:`ecall_infer_microbatch`)."""
+        return self.ecall_infer_microbatch(channel, [targets])
 
     def ecall_infer_microbatch(
         self, channel: OneWayChannel, requests: Sequence[Sequence[int]]
@@ -576,6 +547,19 @@ class RectifierEnclave:
         The published result is one :class:`LabelOnlyResult` carrying the
         concatenated per-request labels in request order; the untrusted
         scheduler splits it by request lengths. Nothing else leaves.
+
+        The untrusted world stages the full embedding matrices (it must
+        not learn which rows the enclave needs — that would leak edges),
+        but the enclave pulls in only the k-hop neighbourhood of the
+        queried nodes over the *private* graph, normalised with global
+        degrees so the target logits match a full-graph pass exactly.
+        Enclave memory and compute then scale with the neighbourhood, not
+        the graph. Access-pattern side channels (the OS observing which
+        staged rows the enclave touches) are out of scope, matching the
+        paper's threat model.
+
+        The telemetry ``stage`` is ``per_node`` for a single request and
+        ``micro_batch`` otherwise.
         """
         with self._tcs:
             self._check_alive()
@@ -600,7 +584,9 @@ class RectifierEnclave:
                 dtype=np.int64,
             )
             channel.publish(LabelOnlyResult(labels=flat))
-            self._record_ecall_telemetry("micro_batch", report)
+            self._record_ecall_telemetry(
+                "per_node" if len(normalised) == 1 else "micro_batch", report
+            )
             return report
 
     def _drain_embeddings(self, channel: OneWayChannel) -> List[np.ndarray]:

@@ -1,12 +1,14 @@
 """Access-pattern side-channel auditing.
 
 The paper scopes side channels out of its threat model (§IV-A), but a
-deployment review should still *quantify* them. The per-node query path
-(:meth:`RectifierEnclave.ecall_infer_nodes`) reads only the queried
-targets' k-hop rows from the staged embedding buffers; a malicious OS that
-observes page-level access patterns therefore learns which rows the
-enclave touched — and the touched set is exactly the targets' private
-neighbourhood.
+deployment review should still *quantify* them. The serving ECALL
+(:meth:`RectifierEnclave.ecall_infer_microbatch`, which every sequential
+query and scheduler micro-batch goes through; ``ecall_infer_nodes`` is
+its one-request alias) reads only the queried targets' k-hop rows from
+the staged embedding buffers; a malicious OS that observes page-level
+access patterns therefore learns which rows the enclave touched — and
+the touched set is exactly the union of the batch's private
+neighbourhoods.
 
 This module provides an auditor that simulates that observer and measures
 how much adjacency information leaks per query, so a deployer can weigh
