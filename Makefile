@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-serving bench-throughput bench-check bench-full obs-demo dashboard health chaos tenants vaultlint vaultlint-json examples report calibration clean
+.PHONY: install test bench bench-serving bench-throughput bench-check bench-full obs-demo dashboard health chaos tenants vaultlint vaultlint-json perfbench perfbench-smoke examples report calibration clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -76,6 +76,19 @@ vaultlint:
 vaultlint-json:
 	$(PYTHON) -m repro.cli vaultlint --format json \
 		--output benchmarks/results/vaultlint_report.json
+
+# The serving benchmark declared in BENCHMARK.json: one untraced 12 s run
+# per workload (set-up time, peak RSS, per-layer numbers). The smoke
+# target self-checks metric names, the label oracle and stream determinism.
+PERFBENCH_WORKLOADS = seq-zipf open-tenants churn-resilient
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 12 --trace 0 || exit 1; \
+	done
+
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --smoke
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -290,8 +290,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(grad * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
+        if _needs_grad(a):
+            a._accumulate(_unbroadcast(grad * b.data, a.data.shape))
+        if _needs_grad(b):
+            b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
 
     return _make(out_data, (a, b), backward_fn)
 
@@ -311,8 +313,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        a._accumulate(grad @ b.data.T)
-        b._accumulate(a.data.T @ grad)
+        # A constant operand (e.g. the input feature matrix) needs no
+        # gradient; skipping it saves a full-size product per step.
+        if _needs_grad(a):
+            a._accumulate(grad @ b.data.T)
+        if _needs_grad(b):
+            b._accumulate(a.data.T @ grad)
 
     return _make(out_data, (a, b), backward_fn)
 

@@ -24,16 +24,27 @@ from dataclasses import dataclass
 from ..errors import SealingError
 
 _MAC_BYTES = 32
+_BLOCK_BYTES = 32  # SHA-256 digest size
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode keystream."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+    """SHA-256 counter-mode keystream.
+
+    Block ``i`` is ``SHA-256(key + nonce + i as 8 little-endian bytes)``;
+    the stream is the first ``length`` bytes of blocks ``0 .. ceil(length/32)-1``.
+    """
+    prefix = key + nonce
+    num_blocks = -(-length // _BLOCK_BYTES)
+    return b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "little")).digest()
+        for counter in range(num_blocks)
+    )[:length]
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """XOR two equal-length byte strings as one big-integer operation."""
+    value = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+    return value.to_bytes(len(data), "little")
 
 
 def derive_seal_key(measurement: str, device_secret: bytes = b"repro-device-fuse") -> bytes:
@@ -66,7 +77,7 @@ def seal(payload: object, measurement: str, device_secret: bytes = b"repro-devic
     key = derive_seal_key(measurement, device_secret)
     nonce = hashlib.sha256(raw + measurement.encode()).digest()[:16]
     stream = _keystream(key, nonce, len(raw))
-    ciphertext = bytes(a ^ b for a, b in zip(raw, stream))
+    ciphertext = _xor(raw, stream)
     mac = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
     return SealedBlob(measurement, nonce, ciphertext, mac)
 
@@ -83,7 +94,7 @@ def unseal(blob: SealedBlob, measurement: str, device_secret: bytes = b"repro-de
     if not hmac.compare_digest(expected, blob.mac):
         raise SealingError("sealed blob failed integrity verification")
     stream = _keystream(key, blob.nonce, len(blob.ciphertext))
-    raw = bytes(a ^ b for a, b in zip(blob.ciphertext, stream))
+    raw = _xor(blob.ciphertext, stream)
     return pickle.loads(raw)
 
 

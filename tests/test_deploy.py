@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.deploy import (
     SecureInferenceSession,
     enclave_budget,
@@ -198,3 +204,19 @@ class TestSecureInferenceSession:
         a, _ = deployment.predict(trained_vault.graph.features)
         b, _ = deployment.predict(trained_vault.graph.features)
         np.testing.assert_array_equal(a, b)
+
+
+def test_serving_import_does_not_load_scipy_stats():
+    """``scipy.stats`` (~0.6 s, ~50 MB) is for attack scoring only; the
+    serving stack must not pay for it at import time."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro.deploy; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -118,6 +118,25 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, np.ones((5, 2)) @ w.T)
         np.testing.assert_allclose(b.grad, x.T @ np.ones((5, 2)))
 
+    @pytest.mark.parametrize("op", ["matmul", "mul"])
+    def test_constant_operand_gets_no_gradient(self, op):
+        """A constant left operand is skipped in backward; the weight's
+        gradient is bitwise the one computed when both operands track."""
+        rng = np.random.default_rng(8)
+        x = rng.random((7, 5))
+        w = rng.random((5, 3)) if op == "matmul" else rng.random((7, 5))
+        apply = (lambda a, b: a @ b) if op == "matmul" else (lambda a, b: a * b)
+        grads = []
+        for track in (False, True):
+            a = nn.Tensor(x, requires_grad=track)
+            b = nn.Tensor(w, requires_grad=True)
+            (apply(a, b) ** 2.0).sum().backward()
+            grads.append((a.grad, b.grad))
+        (const_a, const_w), (tracked_a, tracked_w) = grads
+        assert const_a is None
+        assert tracked_a is not None
+        assert const_w.tobytes() == tracked_w.tobytes()
+
     def test_chain_through_two_matmuls(self):
         rng = np.random.default_rng(5)
         x = rng.random((4, 3))
