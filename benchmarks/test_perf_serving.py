@@ -600,7 +600,8 @@ def test_profiling_overhead_and_timeline_coverage(deployment):
     profiler = PipelineProfiler()
     pipeline_workload = workload[:PROFILE_QUERIES]
     policy = BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
-    with MicroBatchScheduler(server, policy, profiler=profiler) as sched:
+    server.attach_profiler(profiler)
+    with MicroBatchScheduler(server, policy) as sched:
         barrier = threading.Barrier(PROFILE_CLIENTS + 1)
 
         def client(index: int) -> None:

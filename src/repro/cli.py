@@ -340,7 +340,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"replaying {args.queries} Zipf({args.alpha}) queries through the "
         f"pipeline ({clients} clients, max batch {policy.max_batch_size})..."
     )
-    with MicroBatchScheduler(server, policy, profiler=profiler) as scheduler:
+    server.attach_profiler(profiler)
+    with MicroBatchScheduler(server, policy) as scheduler:
         def drive(index: int) -> None:
             for node in workload[index::clients]:
                 scheduler.query(int(node), client=f"client_{index}")

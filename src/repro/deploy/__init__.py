@@ -14,7 +14,6 @@ from .scheduler import (
     MicroBatchScheduler,
     PipelineStats,
     SchedulerOverloaded,
-    ShardedBackboneWorkers,
     StripedLocks,
 )
 from .server import (
@@ -43,7 +42,6 @@ __all__ = [
     "SchedulerOverloaded",
     "SecureInferenceSession",
     "ServerStats",
-    "ShardedBackboneWorkers",
     "StripedLocks",
     "VaultServer",
     "enclave_budget",

@@ -214,21 +214,13 @@ class SecureInferenceSession:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def embed(
-        self, features: np.ndarray, workers=None
-    ) -> Tuple[List[np.ndarray], float]:
+    def embed(self, features: np.ndarray) -> Tuple[List[np.ndarray], float]:
         """Run the public backbone once over the substitute graph.
 
         Returns every layer's embedding plus the simulated backbone
         latency. This is the untrusted half of an inference — pure
         pre-computation (paper §IV-C), so serving layers may compute it
         once per :attr:`feature_version` and reuse it across queries.
-
-        ``workers`` may be a
-        :class:`~repro.deploy.scheduler.ShardedBackboneWorkers` pool; the
-        dense projection and sparse propagation are then row-sharded
-        across its threads (bit-identical output, untrusted world only —
-        the enclave never parallelises).
         """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[0] != self._num_nodes:
@@ -236,12 +228,7 @@ class SecureInferenceSession:
                 f"features cover {features.shape[0]} nodes, deployment expects "
                 f"{self._num_nodes}"
             )
-        if workers is not None:
-            embeddings = workers.embeddings(
-                self.backbone, features, self._substitute_norm
-            )
-        else:
-            embeddings = self.backbone.embeddings(features, self._substitute_norm)
+        embeddings = self.backbone.embeddings(features, self._substitute_norm)
         nnz = self.substitute_adjacency.num_entries + self._num_nodes
         backbone_seconds = model_compute_seconds(
             self.backbone, self._num_nodes, nnz, self._cost, in_enclave=False

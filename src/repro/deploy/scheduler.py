@@ -13,9 +13,6 @@ concurrency layer that tames that cost for heavy traffic:
   the coalesced channel payload for batch *i+1* while stage E (enclave)
   executes the single amortised ECALL for batch *i*. A bounded handoff of
   depth one double-buffers the stages.
-* :class:`ShardedBackboneWorkers` — a thread pool that row-shards the
-  untrusted backbone matmuls (dense projection across feature rows,
-  sparse propagation across Â rows) with bit-identical output.
 * :class:`StripedLocks` — per-key mutual exclusion without a global
   bottleneck, used for the per-client in-flight accounting.
 
@@ -35,7 +32,6 @@ import threading
 import time
 from collections import Counter as _TallyCounter
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -102,92 +98,6 @@ class StripedLocks:
 
     def lock_for(self, key) -> threading.Lock:
         return self._locks[hash(key) % len(self._locks)]
-
-
-class ShardedBackboneWorkers:
-    """Row-sharded execution of the untrusted backbone pass.
-
-    A GCN layer is ``out = Â @ (X @ W) + b``: the dense projection is
-    embarrassingly parallel across rows of ``X`` and the sparse
-    propagation across rows of ``Â``, and stacking the row blocks
-    reproduces the single-threaded result bit-for-bit — each output row
-    is the same dot products accumulated in the same order. numpy and
-    scipy release the GIL inside their kernels, so the pool yields real
-    multi-core speedup on the (version-miss) full-graph re-embed.
-
-    Only the *untrusted* world shards: the enclave stays single-TCS, as
-    on real SGX hardware. Backbones that are not a plain GCN stack fall
-    back to the model's own ``embeddings`` (correctness over speed).
-    """
-
-    def __init__(self, num_workers: int = 4) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = num_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="backbone-shard"
-        )
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardedBackboneWorkers":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _row_bounds(self, num_rows: int) -> List[Tuple[int, int]]:
-        shards = min(self.num_workers, max(1, num_rows))
-        edges = np.linspace(0, num_rows, shards + 1, dtype=np.int64)
-        return [
-            (int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo
-        ]
-
-    def _sharded_dense(self, matrix: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        bounds = self._row_bounds(matrix.shape[0])
-        if len(bounds) == 1:
-            return matrix @ weight
-        futures = [
-            self._pool.submit(lambda lo=lo, hi=hi: matrix[lo:hi] @ weight)
-            for lo, hi in bounds
-        ]
-        return np.vstack([f.result() for f in futures])
-
-    def _sharded_spmm(self, csr, dense: np.ndarray) -> np.ndarray:
-        bounds = self._row_bounds(csr.shape[0])
-        if len(bounds) == 1:
-            return csr @ dense
-        futures = [
-            self._pool.submit(lambda lo=lo, hi=hi: csr[lo:hi] @ dense)
-            for lo, hi in bounds
-        ]
-        return np.vstack([f.result() for f in futures])
-
-    def embeddings(self, backbone, features: np.ndarray, adj_norm) -> List[np.ndarray]:
-        """Per-layer backbone embeddings, row-sharded where possible."""
-        from ..nn import GCNConv
-
-        layers = getattr(backbone, "layers", None)
-        if layers is None or not all(isinstance(conv, GCNConv) for conv in layers):
-            return backbone.embeddings(features, adj_norm)
-        csr = adj_norm.tocsr()
-        h = np.asarray(features, dtype=np.float64)
-        outputs: List[np.ndarray] = []
-        last = len(layers) - 1
-        for index, conv in enumerate(layers):
-            projected = self._sharded_dense(h, conv.weight.data)
-            out = self._sharded_spmm(csr, projected)
-            if conv.bias is not None:
-                out = out + conv.bias.data
-            if index != last:
-                # mirror nn.relu exactly (x * (x > 0)): np.maximum would
-                # flip the sign bit of -0.0 and break bitwise identity
-                out = out * (out > 0)
-            outputs.append(out)
-            h = out
-        return outputs
 
 
 class PipelineStats:
@@ -310,34 +220,28 @@ class MicroBatchScheduler:
 
     Two worker threads implement the pipeline: the **collector** forms
     batches from the admission queue and runs stage U (embedding-cache
-    resolution, optionally through :class:`ShardedBackboneWorkers`); the
-    **enclave worker** takes staged batches from a depth-one handoff and
-    hands each to :meth:`VaultServer._execute_batch
+    resolution); the **enclave worker** takes staged batches from a
+    depth-one handoff and hands each to :meth:`VaultServer._execute_batch
     <repro.deploy.server.VaultServer._execute_batch>`, the one ECALL step
     the sequential path runs too. While the enclave executes batch *i*,
     the collector stages batch *i+1* — the double buffer.
+
+    The scheduler owns only batch formation: per-client in-flight caps,
+    the queue, the pipeline and the :meth:`paused` fence. Admission, the
+    query budget and every observer (supervisor, profiler, tenancy,
+    logger) belong to the server, so a scheduler and sequential callers
+    sharing one server see one budget and one set of observers.
     """
 
-    def __init__(self, server, policy: Optional[BatchPolicy] = None,
-                 backbone_workers: Optional[ShardedBackboneWorkers] = None,
-                 profiler=None) -> None:
+    def __init__(self, server, policy: Optional[BatchPolicy] = None) -> None:
         self._server = server
         self.policy = policy if policy is not None else BatchPolicy()
-        self.backbone_workers = backbone_workers
         self.stats = PipelineStats()
-        #: optional :class:`~repro.obs.profiling.PipelineProfiler`; when
-        #: attached, every batch records a full boundary-timestamp
-        #: timeline (one raw-tuple deque append per batch).
-        self.profiler = profiler
-        #: optional :class:`~repro.deploy.resilience.EnclaveSupervisor`;
-        #: when attached (directly or inherited from the server at
-        #: :meth:`start`), the enclave worker routes every ECALL through
-        #: its bounded retry + crash-recovery loop.
-        self.supervisor = None
         self._queue: Deque[_PendingQuery] = deque()
-        self._cv = threading.Condition()  # guards queue/paused/inflight/running
+        self._cv = threading.Condition()  # guards queue/fence/inflight/running
         self._handoff: "queue.Queue[Optional[_StagedBatch]]" = queue.Queue(maxsize=1)
-        self._paused = False
+        #: thread ident holding the :meth:`paused` fence (None when lifted)
+        self._fence_owner: Optional[int] = None
         self._inflight_batches = 0
         self._running = False
         # Enclave busy-time ledger for overlap accounting: total seconds
@@ -351,8 +255,6 @@ class MicroBatchScheduler:
         self._enclave_worker: Optional[threading.Thread] = None
         self._client_inflight: Dict[str, int] = {}
         self._client_locks = StripedLocks()
-        self._admitted = 0
-        self._admit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -363,10 +265,6 @@ class MicroBatchScheduler:
                 raise RuntimeError("scheduler already running")
             self._running = True
         self._server._attach_scheduler(self)
-        if self.supervisor is None:
-            self.supervisor = getattr(self._server, "supervisor", None)
-        with self._admit_lock:
-            self._admitted = self._server.stats.queries_served
         self._collector = threading.Thread(
             target=self._collect_loop, name="vault-collector", daemon=True
         )
@@ -378,10 +276,20 @@ class MicroBatchScheduler:
         return self
 
     def close(self) -> None:
-        """Drain queued work, stop both workers, detach from the server."""
+        """Drain queued work, stop both workers, detach from the server.
+
+        Called from another thread while :meth:`paused` is held, it waits
+        for the fence to lift before the queue drains. Called by the
+        thread holding the fence, it raises instead of deadlocking.
+        """
         with self._cv:
             if not self._running:
                 return
+            if self._fence_owner == threading.get_ident():
+                raise RuntimeError(
+                    "close() inside paused(): the queue cannot drain "
+                    "until this thread lifts the fence"
+                )
             self._running = False
             self._cv.notify_all()
         self._collector.join()
@@ -410,17 +318,36 @@ class MicroBatchScheduler:
     def submit(self, node_ids: Sequence[int], client: str = "default") -> _PendingQuery:
         """Admit one request; returns a handle whose ``result()`` blocks.
 
-        Ids pass the server's admission check first, so a malformed
-        request raises :class:`~repro.deploy.server.InvalidQuery` here
-        and never joins a batch.
+        The server's admission step runs first: a malformed request
+        raises :class:`~repro.deploy.server.InvalidQuery` and an
+        over-budget one :class:`~repro.deploy.server.QueryBudgetExceeded`,
+        and neither joins a batch. A request the scheduler then refuses
+        (not running, per-client cap, full queue) leaves no residue: its
+        in-flight slot is released, its budget refunded and one ``drop``
+        line logged before the error propagates.
         """
-        node_ids = self._server._validate_ids(node_ids)
-        budget = self._server.query_budget
-        if budget is not None:
-            with self._admit_lock:
-                if self._admitted + len(node_ids) > budget:
-                    self._server._budget_exhausted(client, len(node_ids))
-                self._admitted += len(node_ids)
+        request = self._server._admit(node_ids, client)
+        slot = False
+        try:
+            slot = self._take_slot(client)
+            with self._cv:
+                if not self._running:
+                    raise RuntimeError("scheduler is not running")
+                if len(self._queue) >= self.policy.max_queue_depth:
+                    raise SchedulerOverloaded(
+                        f"admission queue is full ({self.policy.max_queue_depth})"
+                    )
+                self._queue.append(request)
+                self._cv.notify_all()
+        except BaseException as exc:
+            if slot:
+                self._release_client(client)
+            self._server._fail_batch((request,), exc)
+            raise
+        return request
+
+    def _take_slot(self, client: str) -> bool:
+        """Claim one per-client in-flight slot; False when uncapped."""
         cap = self.policy.max_inflight_per_client
         tenancy = self._server.tenancy
         if tenancy is not None and tenancy.over_quota(client):
@@ -430,27 +357,17 @@ class MicroBatchScheduler:
             # the tenant keeps getting answers, just serially, while
             # everyone else's admission is untouched.
             cap = 1 if cap == 0 else max(1, cap // 2)
-        if cap > 0:
-            with self._client_locks.lock_for(client):
-                inflight = self._client_inflight.get(client, 0)
-                if inflight >= cap:
-                    raise SchedulerOverloaded(
-                        f"client {client!r} has {inflight} queries in flight "
-                        f"(cap {cap})"
-                    )
-                self._client_inflight[client] = inflight + 1
-        request = self._server._admit(node_ids, client)
-        with self._cv:
-            if not self._running:
-                raise RuntimeError("scheduler is not running")
-            if len(self._queue) >= self.policy.max_queue_depth:
-                self._release_client(client)
+        if cap == 0:
+            return False
+        with self._client_locks.lock_for(client):
+            inflight = self._client_inflight.get(client, 0)
+            if inflight >= cap:
                 raise SchedulerOverloaded(
-                    f"admission queue is full ({self.policy.max_queue_depth})"
+                    f"client {client!r} has {inflight} queries in flight "
+                    f"(cap {cap})"
                 )
-            self._queue.append(request)
-            self._cv.notify_all()
-        return request
+            self._client_inflight[client] = inflight + 1
+        return True
 
     def query(self, node_id: int, client: str = "default",
               timeout: Optional[float] = None) -> int:
@@ -482,18 +399,25 @@ class MicroBatchScheduler:
         executing it concurrently with a staged batch would pair old
         embeddings with the new private graph. Inside this context no
         batch is forming, staged, or executing — queued requests stay
-        queued and are served against the *new* version on resume.
+        queued and are served against the *new* version on resume. One
+        thread holds the fence at a time; the holder may re-enter it
+        (``add_node`` inside ``paused()``), other threads wait for it.
         """
+        me = threading.get_ident()
         with self._cv:
-            self._paused = True
-            self._cv.notify_all()
-            self._cv.wait_for(lambda: self._inflight_batches == 0)
+            held = self._fence_owner == me
+            if not held:
+                self._cv.wait_for(lambda: self._fence_owner is None)
+                self._fence_owner = me
+                self._cv.notify_all()
+                self._cv.wait_for(lambda: self._inflight_batches == 0)
         try:
             yield
         finally:
-            with self._cv:
-                self._paused = False
-                self._cv.notify_all()
+            if not held:
+                with self._cv:
+                    self._fence_owner = None
+                    self._cv.notify_all()
 
     def add_node(self, features_row, substitute_neighbours, sealed_update) -> int:
         """Fenced online update (see :meth:`VaultServer.add_node`)."""
@@ -506,16 +430,19 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     def _next_batch(self) -> Optional[Tuple[List[_PendingQuery], float]]:
         with self._cv:
+            # A held fence stops formation even while closing, so close()
+            # from another thread drains only after the fence lifts.
             self._cv.wait_for(
-                lambda: (self._queue and not self._paused) or not self._running
+                lambda: self._fence_owner is None
+                and (self._queue or not self._running)
             )
             if not self._queue:
                 return None  # shutdown with an empty queue
-            if self._paused and self._running:
-                # woken by shutdown-vs-pause races; re-wait
-                return [], 0.0
             collect_start = time.perf_counter()
             batch = [self._queue.popleft()]
+            # In flight from its first request on, so a fence raised while
+            # the batch waits for company also waits for it to execute.
+            self._inflight_batches += 1
             deadline = time.monotonic() + self.policy.max_wait_ms / 1000.0
             while len(batch) < self.policy.max_batch_size:
                 if self._queue:
@@ -527,9 +454,8 @@ class MicroBatchScheduler:
                 if remaining <= 0:
                     break
                 self._cv.wait(remaining)
-                if not self._queue:
+                if not self._queue or self._fence_owner is not None:
                     break
-            self._inflight_batches += 1
             return batch, collect_start
 
     def _collect_loop(self) -> None:
@@ -538,8 +464,6 @@ class MicroBatchScheduler:
             if popped is None:
                 break
             batch, collect_start = popped
-            if not batch:
-                continue
             try:
                 staged = self._stage(batch, collect_start)
             except BaseException as exc:  # stage-U failure fails the batch
@@ -566,9 +490,7 @@ class MicroBatchScheduler:
                collect_start: float) -> _StagedBatch:
         busy_before = self._enclave_busy_seconds()
         start = time.perf_counter()
-        embeddings, backbone_seconds = self._server._embeddings(
-            workers=self.backbone_workers
-        )
+        embeddings, backbone_seconds = self._server._embeddings()
         stage_end = time.perf_counter()
         # clamp: the unlocked busy-ledger read can race the worker's
         # accumulate-then-clear and come back marginally negative
@@ -593,9 +515,7 @@ class MicroBatchScheduler:
                 break
             self._busy_start = time.perf_counter()
             try:
-                self._server._execute_batch(
-                    staged, self.profiler, self.supervisor, self.stats
-                )
+                self._server._execute_batch(staged, self.stats)
             finally:
                 self._busy_accum += time.perf_counter() - self._busy_start
                 self._busy_start = None

@@ -11,7 +11,8 @@ pass. :class:`VaultServer` adds the serving machinery around
 * every answer is label-only, and an audit log records query counts and
   cumulative simulated cost for capacity planning;
 * an optional query budget models rate limiting, the standard mitigation
-  against extraction-by-mass-querying;
+  against extraction-by-mass-querying; the server owns it, so sequential
+  callers and a micro-batch scheduler draw on one counter;
 * every query is traced and metered through :mod:`repro.obs`: a root
   ``query`` span nests the ``backbone`` stage and the enclave's redacted
   ``ecall`` subtree, and :class:`ServerStats` is a thin view over the
@@ -294,7 +295,23 @@ COMPACT_DECODERS["query"] = _decode_query_trace
 
 
 class VaultServer:
-    """Serve label-only node queries from a provisioned GNNVault."""
+    """Serve label-only node queries from a provisioned GNNVault.
+
+    The server is the single owner of serving state: admission, the
+    query budget and every observer (supervisor, profiler, tenant
+    ledger, logger). :meth:`query_batch` and an attached
+    :class:`~repro.deploy.scheduler.MicroBatchScheduler` both admit
+    through :meth:`_admit` and execute through :meth:`_execute_batch`,
+    so both entries see one budget and the observers attached right now.
+
+    ``query_budget`` caps the queries this server answers over its
+    lifetime. A request charges its node count at admission, before it
+    is queued or executed, and is refused with
+    :class:`QueryBudgetExceeded` when the charge would pass the budget.
+    A request that is later refused (a full queue, a closed scheduler,
+    a per-client cap) or fails gets its charge back, so the counter
+    holds the queries admitted and not failed: in-flight plus answered.
+    """
 
     def __init__(
         self,
@@ -312,6 +329,9 @@ class VaultServer:
         if query_budget is not None and query_budget <= 0:
             raise ValueError(f"query_budget must be positive, got {query_budget}")
         self.query_budget = query_budget
+        # queries admitted and not failed, the count the budget caps
+        self._budget_used = 0
+        self._budget_lock = threading.Lock()
         self.cache_embeddings = cache_embeddings
         # One telemetry hub per deployment: reuse the session's if it has
         # one (so server spans and enclave spans share a trace tree),
@@ -373,14 +393,14 @@ class VaultServer:
         # pipelined, so a log line's batch_seq names one batch for the
         # server's lifetime. next() on a count is atomic under the GIL.
         self._batch_seqs = itertools.count(1)
-        # Optional continuous profiler for the *sequential* path: when
-        # attached, every query_batch records a BatchTimeline (queue and
+        # Optional continuous profiler: when attached, every executed
+        # batch records a BatchTimeline (on the sequential path queue and
         # collect collapse to zero — there is no pipeline).
         # Detached, the hot path pays one attribute load + None check.
         self.profiler = None
         # Optional enclave supervisor: when attached, every ECALL-bearing
-        # query routes through its bounded retry + crash-recovery loop,
-        # and an attached MicroBatchScheduler inherits it at start().
+        # batch, sequential or pipelined, routes through its bounded
+        # retry + crash-recovery loop.
         self.supervisor = None
         # Optional tenant cost ledger + structured logger: attached
         # together or separately, both see only hashed tenant tokens.
@@ -458,9 +478,6 @@ class VaultServer:
                 "supervisor is bound to a different inference session"
             )
         self.supervisor = supervisor
-        scheduler = self._scheduler
-        if scheduler is not None:
-            scheduler.supervisor = supervisor
 
     def detach_supervisor(self) -> None:
         self.supervisor = None
@@ -468,7 +485,7 @@ class VaultServer:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _embeddings(self, workers=None) -> Tuple[List[np.ndarray], float]:
+    def _embeddings(self) -> Tuple[List[np.ndarray], float]:
         """Backbone embeddings for the current feature version.
 
         Returns ``(embeddings, backbone_seconds)`` where the seconds are
@@ -476,10 +493,8 @@ class VaultServer:
         the full cost on a miss, zero on a hit (the untrusted half is pure
         pre-computation, so a real deployment pays it once per version).
 
-        ``workers`` (a :class:`~repro.deploy.scheduler.ShardedBackboneWorkers`)
-        row-shards the backbone pass on a miss; the result is bit-identical
-        to the single-threaded pass. Refills are serialised so concurrent
-        scheduler threads never run the full-graph pass twice per version.
+        Refills are serialised so concurrent scheduler threads never run
+        the full-graph pass twice per version.
         """
         version = self._session.feature_version
         # vaultlint: unlocked-ok(lock-free fast path; the tuple is written atomically under _embed_lock and version-checked here, a stale read only costs one extra lock round)
@@ -503,9 +518,7 @@ class VaultServer:
                     time=self.health.now if self.health is not None else 0.0,
                     stale_version=cached[0], version=version,
                 )
-            embeddings, backbone_seconds = self._session.embed(
-                self._features, workers=workers
-            )
+            embeddings, backbone_seconds = self._session.embed(self._features)
             self.stats.record_embedding_cache(hit=False)
             if self.cache_embeddings:
                 self._embedding_cache = (version, embeddings)
@@ -527,11 +540,6 @@ class VaultServer:
         query-pattern monitoring and the audit trail; it never reaches
         the enclave.
         """
-        node_ids = self._validate_ids(node_ids)
-        if self.query_budget is not None:
-            remaining = self.query_budget - self.stats.queries_served
-            if len(node_ids) > remaining:
-                self._budget_exhausted(client, len(node_ids))
         request = self._admit(node_ids, client)
         try:
             embeddings, backbone_seconds = self._embeddings()
@@ -546,7 +554,7 @@ class VaultServer:
             queued_at=queued_at, collect_start=queued_at,
             stage_start=queued_at, stage_end=time.perf_counter(),
         )
-        self._execute_batch(staged, self.profiler, self.supervisor)
+        self._execute_batch(staged)
         return request.result()
 
     def _validate_ids(self, node_ids: Sequence[int]) -> Tuple[int, ...]:
@@ -577,8 +585,25 @@ class VaultServer:
             raise InvalidQuery("empty query")
         return tuple(ids)
 
-    def _admit(self, node_ids: Tuple[int, ...], client: str) -> "_PendingQuery":
-        """Wrap validated ids as one request, logging its ``admit`` line."""
+    def _admit(self, node_ids: Sequence[int], client: str) -> "_PendingQuery":
+        """Admit one request for either entry: validate, charge, log.
+
+        Raises :class:`InvalidQuery` or :class:`QueryBudgetExceeded`
+        before anything is charged or logged; otherwise the request's
+        node count is charged to the budget and its ``admit`` line
+        logged. Every admitted request ends in one ``resolve`` (see
+        :meth:`_execute_batch`) or one ``drop`` (see :meth:`_fail_batch`,
+        which also refunds the charge).
+        """
+        node_ids = self._validate_ids(node_ids)
+        with self._budget_lock:
+            used = self._budget_used
+            refused = (self.query_budget is not None
+                       and used + len(node_ids) > self.query_budget)
+            if not refused:
+                self._budget_used = used + len(node_ids)
+        if refused:  # alert and audit outside the lock
+            self._budget_exhausted(client, len(node_ids), used)
         corr_id = None
         log = self.logger
         if log is not None:
@@ -589,8 +614,7 @@ class VaultServer:
             )
         return _PendingQuery(node_ids, client, corr_id=corr_id)
 
-    def _execute_batch(self, staged: "_StagedBatch", profiler, supervisor,
-                       pipeline=None) -> None:
+    def _execute_batch(self, staged: "_StagedBatch", pipeline=None) -> None:
         """Run one staged batch through the enclave and account for it.
 
         The one ECALL execution step, for a sequential micro-batch of one
@@ -599,9 +623,13 @@ class VaultServer:
         supervisor's retry loop, the backbone-only fallback, and every
         sink (stats, health, audit, tenant ledger, profiler, and the
         scheduler's ``pipeline`` stats when given). Every request is
-        resolved or failed before this returns.
+        resolved or failed before this returns. The profiler and the
+        supervisor are read once per batch, so attaching or detaching
+        either takes effect from the next batch on both entries.
         """
         session = self._session
+        profiler = self.profiler
+        supervisor = self.supervisor
         requests = staged.requests
         node_lists = [request.node_ids for request in requests]
         total = sum(len(ids) for ids in node_lists)
@@ -767,7 +795,9 @@ class VaultServer:
 
     def _fail_batch(self, requests: Sequence["_PendingQuery"],
                     exc: BaseException) -> None:
-        """Fail every request of a batch, logging a ``drop`` line each."""
+        """Fail every request of a batch: refund, fail, log ``drop``."""
+        with self._budget_lock:
+            self._budget_used -= sum(len(request.node_ids) for request in requests)
         log = self.logger
         for request in requests:
             request._fail(exc)
@@ -778,7 +808,7 @@ class VaultServer:
                     error=type(exc).__name__,
                 )
 
-    def _budget_exhausted(self, client: str, batch_len: int) -> None:
+    def _budget_exhausted(self, client: str, batch_len: int, used: int) -> None:
         """Alert, audit, and refuse: a client ran its query budget dry."""
         now = self.health.now if self.health is not None else 0.0
         if self.health is not None:
@@ -794,7 +824,7 @@ class VaultServer:
                 reason="query_budget_exhausted",
             )
         raise QueryBudgetExceeded(
-            f"query budget exhausted ({self.stats.queries_served}/"
+            f"query budget exhausted ({used}/"
             f"{self.query_budget} used, batch of {batch_len} denied)"
         )
 

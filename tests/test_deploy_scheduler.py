@@ -20,13 +20,11 @@ from repro.deploy import (
     QueryBudgetExceeded,
     SchedulerOverloaded,
     SecureInferenceSession,
-    ShardedBackboneWorkers,
     StripedLocks,
     VaultServer,
     seal_graph_update,
     zipf_workload,
 )
-from repro.graph import gcn_normalize
 
 
 @pytest.fixture
@@ -90,36 +88,6 @@ class TestBatchPolicy:
             StripedLocks(stripes=0)
 
 
-class TestShardedBackboneWorkers:
-    def test_sharded_embeddings_bitwise_identical(self, trained_vault):
-        run = trained_vault
-        adj_norm = gcn_normalize(run.substitute)
-        reference = run.backbone.embeddings(run.graph.features, adj_norm)
-        with ShardedBackboneWorkers(num_workers=4) as workers:
-            sharded = workers.embeddings(
-                run.backbone, run.graph.features, adj_norm
-            )
-        assert len(sharded) == len(reference)
-        for ours, theirs in zip(sharded, reference):
-            assert ours.tobytes() == theirs.tobytes()
-
-    def test_non_gcn_backbone_falls_back(self):
-        sentinel = [np.zeros((2, 2))]
-
-        class OddModel:
-            layers = ("not", "convs")
-
-            def embeddings(self, features, adj_norm):
-                return sentinel
-
-        with ShardedBackboneWorkers(num_workers=2) as workers:
-            assert workers.embeddings(OddModel(), np.ones((2, 2)), None) is sentinel
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedBackboneWorkers(num_workers=0)
-
-
 class TestExactness:
     """Scheduler answers == sequential per-query loop, bit for bit."""
 
@@ -156,24 +124,6 @@ class TestExactness:
             workload, scheduler=BatchPolicy(max_batch_size=8)
         )
         assert via_policy.tobytes() == expected.tobytes()
-
-    def test_sharded_workers_do_not_change_labels(
-        self, make_server, trained_vault
-    ):
-        run = trained_vault
-        workload = zipf_workload(
-            run.graph.num_nodes, 40, alpha=1.3,
-            rng=np.random.default_rng(2),
-        )
-        expected = make_server().serve(workload, batch_size=1)
-        server = make_server()
-        with ShardedBackboneWorkers(num_workers=3) as workers:
-            with MicroBatchScheduler(
-                server, BatchPolicy(max_batch_size=4), backbone_workers=workers
-            ) as scheduler:
-                actual = scheduler.serve(workload)
-        assert actual.tobytes() == expected.tobytes()
-        assert server.stats.embedding_cache_misses == 1
 
     def test_mid_stream_add_node_stays_exact(self, make_server, trained_vault):
         """Fenced update between bursts: both halves match sequential

@@ -201,8 +201,8 @@ class TestCorrelationPropagation:
         workload = zipf_workload(run.graph.num_nodes, self.NUM_QUERIES,
                                  seed=21)
         policy = BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
-        with MicroBatchScheduler(server, policy,
-                                 profiler=profiler) as scheduler:
+        server.attach_profiler(profiler)
+        with MicroBatchScheduler(server, policy) as scheduler:
             def drive(index):
                 for node in workload[index::self.CLIENTS]:
                     scheduler.query(int(node), client=f"client_{index}")

@@ -321,7 +321,8 @@ class TestPipelineIntegration:
         enclave = server._session.enclave
         before = enclave.ecall_cost_totals()
         policy = BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
-        with MicroBatchScheduler(server, policy, profiler=profiler) as sched:
+        server.attach_profiler(profiler)
+        with MicroBatchScheduler(server, policy) as sched:
             self._drive(sched, workload)
 
         timelines = profiler.timelines()

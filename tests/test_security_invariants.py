@@ -512,7 +512,8 @@ class TestProfilingBoundary:
         workload = zipf_workload(run.graph.num_nodes, 48, alpha=1.3, seed=9)
         profiler = PipelineProfiler()
         policy = BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
-        with MicroBatchScheduler(server, policy, profiler=profiler) as sched:
+        server.attach_profiler(profiler)
+        with MicroBatchScheduler(server, policy) as sched:
             threads = [
                 threading.Thread(
                     target=lambda shard=workload[i::4], c=f"client_{i}": [

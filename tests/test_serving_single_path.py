@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,25 +24,33 @@ from repro.deploy import (
     GraphUpdate,
     InvalidQuery,
     MicroBatchScheduler,
+    QueryBudgetExceeded,
     RecoveryPolicy,
+    SchedulerOverloaded,
     SecureInferenceSession,
     VaultServer,
     seal_graph_update,
     zipf_workload,
 )
-from repro.errors import RecoveryFailed
-from repro.obs import PipelineProfiler, StructuredLogger, TenantCostLedger
+from repro.errors import EnclaveKilled, RecoveryFailed
+from repro.obs import (
+    PipelineProfiler,
+    StructuredLogger,
+    TenantCostLedger,
+    validate_log_jsonl,
+)
 from repro.tee import FaultInjector, FaultPlan, FaultSpec, seal
 from repro.tee.faults import FAULT_KILL
 
 
 def make_server(run, scheme="series", supervised=False,
-                degraded_mode=None) -> VaultServer:
+                degraded_mode=None, query_budget=None) -> VaultServer:
     session = SecureInferenceSession(
         run.backbone, run.rectifiers[scheme], run.substitute,
         run.graph.adjacency,
     )
-    server = VaultServer(session, run.graph.features)
+    server = VaultServer(session, run.graph.features,
+                         query_budget=query_budget)
     if supervised:
         policy = (RecoveryPolicy() if degraded_mode is None
                   else RecoveryPolicy(degraded_mode=degraded_mode))
@@ -159,6 +168,182 @@ class TestAdmissionValidation:
         assert scheduler.stats.batches == 1 and scheduler.stats.queries == 5
 
 
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestServerOwnedAdmission:
+    """The server owns the budget and the observers for both entries."""
+
+    def test_budget_caps_mixed_entries_together(self, trained_vault):
+        server = make_server(trained_vault, query_budget=10)
+        outcomes = []
+
+        def drive(entry, nodes):
+            for node in nodes:
+                try:
+                    entry(node, client=f"client_{node % 6}")
+                except QueryBudgetExceeded:
+                    outcomes.append("refused")
+                else:
+                    outcomes.append("answered")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            policy = BatchPolicy(max_batch_size=4, max_wait_ms=1.0)
+            with MicroBatchScheduler(server, policy) as scheduler:
+                threads = [
+                    threading.Thread(target=drive, args=(
+                        server.query if index % 2 else scheduler.query,
+                        range(index, 30, 6),
+                    ))
+                    for index in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(outcomes) == ["answered"] * 10 + ["refused"] * 20
+        assert server.stats.queries_served == 10
+
+    def test_detached_supervisor_no_longer_retries_pipelined_batches(
+            self, trained_vault):
+        server = make_server(trained_vault, supervised=True)
+        supervisor = server.supervisor
+        with MicroBatchScheduler(server, BatchPolicy(max_batch_size=1)) as scheduler:
+            scheduler.query(0)
+            server.detach_supervisor()
+            plan = FaultPlan((FaultSpec(FAULT_KILL, 0),))
+            server.session.attach_fault_injector(FaultInjector(plan))
+            with pytest.raises(EnclaveKilled):
+                scheduler.query(1, timeout=30.0)
+        assert supervisor.restarts_total == 0
+        assert server.stats.queries_served == 1
+
+    def test_full_queue_refusals_spend_no_budget(self, trained_vault):
+        server = make_server(trained_vault, query_budget=4)
+        policy = BatchPolicy(max_batch_size=4, max_queue_depth=2)
+        with MicroBatchScheduler(server, policy) as scheduler:
+            with scheduler.paused():
+                held = [scheduler.submit([node]) for node in (0, 1)]
+                for _ in range(5):
+                    with pytest.raises(SchedulerOverloaded):
+                        scheduler.submit([2])
+            for request in held:
+                request.result(timeout=30.0)
+            scheduler.query(3)
+            scheduler.query(4)
+            with pytest.raises(QueryBudgetExceeded):
+                scheduler.query(5)
+        assert server.stats.queries_served == 4
+
+    def test_not_running_refusal_leaks_no_inflight_slot(self, trained_vault):
+        server = make_server(trained_vault)
+        reference = make_server(trained_vault)
+        scheduler = MicroBatchScheduler(
+            server, BatchPolicy(max_inflight_per_client=1)
+        )
+        with pytest.raises(RuntimeError):
+            scheduler.submit([0], client="alice")
+        with scheduler:
+            assert scheduler.query(0, client="alice", timeout=30.0) == (
+                reference.query(0)
+            )
+
+    def test_every_refusal_logs_one_drop_and_refunds(self, trained_vault):
+        server = make_server(trained_vault, query_budget=3)
+        log = StructuredLogger(capacity=4096)
+        server.attach_logger(log)
+        policy = BatchPolicy(max_batch_size=4, max_queue_depth=1,
+                             max_inflight_per_client=1)
+        scheduler = MicroBatchScheduler(server, policy)
+        with pytest.raises(RuntimeError):
+            scheduler.submit([0], client="alice")
+        with scheduler:
+            with scheduler.paused():
+                held = scheduler.submit([0], client="alice")
+                with pytest.raises(SchedulerOverloaded):  # per-client cap
+                    scheduler.submit([1], client="alice")
+                with pytest.raises(SchedulerOverloaded):  # full queue
+                    scheduler.submit([1], client="bob")
+            held.result(timeout=30.0)
+            # two of three budget slots are free again after the refusals
+            scheduler.query(1, client="bob")
+            scheduler.query(2, client="carol")
+        assert validate_log_jsonl(log.to_jsonl()) == len(log)
+        drops = log.records("drop")
+        assert sorted(row["error"] for row in drops) == [
+            "RuntimeError", "SchedulerOverloaded", "SchedulerOverloaded",
+        ]
+        admits = [row["corr"] for row in log.records("admit")]
+        ends = [row["corr"] for row in log.records("resolve")]
+        ends += [row["corr"] for row in drops]
+        assert sorted(admits) == sorted(ends)
+        assert len(admits) == len(set(admits)) == 6
+
+    def test_close_from_another_thread_waits_for_the_fence(self,
+                                                           trained_vault):
+        run = trained_vault
+        server = make_server(run)
+        oracle = make_server(run)
+        enclave = server.session.enclave
+        blob = seal_graph_update(
+            GraphUpdate(neighbours=(0, 1, 2)), run.rectifiers["series"]
+        )
+        row = run.graph.features[:3].mean(axis=0)
+        scheduler = MicroBatchScheduler(server, BatchPolicy()).start()
+        before = enclave.ecall_transitions
+        with scheduler.paused():
+            request = scheduler.submit([0])
+            closer = threading.Thread(target=scheduler.close)
+            closer.start()
+            wait_until(lambda: not scheduler.running)
+            closer.join(timeout=0.2)
+            assert closer.is_alive()
+            assert enclave.ecall_transitions == before
+            new_id = server.add_node(row, [0, 1], blob)  # holder re-enters
+            assert enclave.ecall_transitions == before
+        closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        assert oracle.add_node(row, [0, 1], blob) == new_id
+        features = np.vstack([run.graph.features, row])
+        full, _ = oracle.session.predict(features)
+        assert labels_bytes(request.result(timeout=30.0)) == (
+            labels_bytes(full[[0]])
+        )
+
+    def test_close_by_the_fence_holder_fails_fast(self, trained_vault):
+        server = make_server(trained_vault)
+        scheduler = MicroBatchScheduler(server, BatchPolicy()).start()
+        with scheduler.paused():
+            request = scheduler.submit([0])
+            with pytest.raises(RuntimeError):
+                scheduler.close()
+            assert scheduler.running
+        scheduler.close()
+        assert request.result(timeout=30.0).shape == (1,)
+
+    def test_fence_waits_for_a_batch_still_forming(self, trained_vault):
+        server = make_server(trained_vault)
+        enclave = server.session.enclave
+        policy = BatchPolicy(max_batch_size=4, max_wait_ms=300.0)
+        with MicroBatchScheduler(server, policy) as scheduler:
+            request = scheduler.submit([0])
+            wait_until(lambda: not scheduler.client_tally())  # collecting
+            with scheduler.paused():
+                inside = enclave.ecall_transitions
+                time.sleep(0.4)  # past max_wait_ms
+                assert enclave.ecall_transitions == inside
+            request.result(timeout=30.0)
+
+
 class TestBatchSequence:
     """batch_seq is owned by the server: unique, and joined on both paths."""
 
@@ -184,14 +369,13 @@ class TestBatchSequence:
         log = StructuredLogger(capacity=16_384)
         profiler = PipelineProfiler()
         server.attach_logger(log)
+        server.attach_profiler(profiler)
         workload = zipf_workload(run.graph.num_nodes, 24, seed=31)
         if path == "sequential":
-            server.attach_profiler(profiler)
             server.serve(workload, batch_size=3)
         else:
             policy = BatchPolicy(max_batch_size=4, max_wait_ms=1.0)
-            with MicroBatchScheduler(server, policy,
-                                     profiler=profiler) as scheduler:
+            with MicroBatchScheduler(server, policy) as scheduler:
                 scheduler.serve(workload)
         admits = {row["corr"] for row in log.records("admit")}
         batch_of = {}
@@ -275,14 +459,13 @@ class TestEcallDeltaAcrossRestart:
         plan = FaultPlan((FaultSpec(FAULT_KILL, self.KILL_AT),))
         session.attach_fault_injector(FaultInjector(plan))
         workload = zipf_workload(run.graph.num_nodes, self.QUERIES, seed=32)
+        server.attach_profiler(profiler)
         before = session.ecall_cost_totals()
         if path == "sequential":
-            server.attach_profiler(profiler)
             server.serve(workload, batch_size=1)
         else:
             policy = BatchPolicy(max_batch_size=1)
-            with MicroBatchScheduler(server, policy,
-                                     profiler=profiler) as scheduler:
+            with MicroBatchScheduler(server, policy) as scheduler:
                 for node in workload:
                     scheduler.query(int(node))
         after = session.ecall_cost_totals()
