@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-serving bench-throughput bench-check bench-full obs-demo dashboard health chaos tenants vaultlint vaultlint-json perfbench perfbench-smoke examples report calibration clean
+.PHONY: install test bench bench-serving bench-throughput bench-check bench-full obs-demo dashboard health chaos tenants vaultlint vaultlint-json perfbench perfbench-smoke perfbench-ab examples report calibration clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -89,6 +89,16 @@ perfbench:
 
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --smoke
+
+# A/B against a parent revision: PAIRS alternating parent/change runs per
+# workload (parent checked out with git worktree); prints each end-to-end
+# metric's median, quartiles and wins per side. Exit 1 on an incorrect
+# run or a larger failed share, 2 when a run breaks.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+
+perfbench-ab:
+	$(PYTHON) benchmarks/perfbench_ab.py --parent $(PARENT) --pairs $(PAIRS)
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only

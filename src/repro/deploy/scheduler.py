@@ -327,9 +327,8 @@ class MicroBatchScheduler:
         line logged before the error propagates.
         """
         request = self._server._admit(node_ids, client)
-        slot = False
         try:
-            slot = self._take_slot(client)
+            request.slot = self._take_slot(client)
             with self._cv:
                 if not self._running:
                     raise RuntimeError("scheduler is not running")
@@ -340,14 +339,18 @@ class MicroBatchScheduler:
                 self._queue.append(request)
                 self._cv.notify_all()
         except BaseException as exc:
-            if slot:
-                self._release_client(client)
+            self._release_slot(request)
             self._server._fail_batch((request,), exc)
             raise
         return request
 
     def _take_slot(self, client: str) -> bool:
-        """Claim one per-client in-flight slot; False when uncapped."""
+        """Claim one per-client in-flight slot; False when uncapped.
+
+        Whether a request holds a slot is fixed here, at admission: a
+        ledger's ``over_quota`` may flip while it is in flight, and a
+        request admitted without a slot must not give one back.
+        """
         cap = self.policy.max_inflight_per_client
         tenancy = self._server.tenancy
         if tenancy is not None and tenancy.over_quota(client):
@@ -524,22 +527,22 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def _release_client(self, client: str) -> None:
-        # with a tenancy ledger attached, quota backpressure may have
-        # engaged a per-client cap even under an uncapped policy, so the
-        # in-flight entry must be released either way (the pop at <= 0
-        # makes a release without a matching admit harmless).
-        if self.policy.max_inflight_per_client > 0 or self._server.tenancy is not None:
-            with self._client_locks.lock_for(client):
-                remaining = self._client_inflight.get(client, 0) - 1
-                if remaining > 0:
-                    self._client_inflight[client] = remaining
-                else:
-                    self._client_inflight.pop(client, None)
+    def _release_slot(self, request: _PendingQuery) -> None:
+        """Give back the request's in-flight slot, if it holds one."""
+        if not request.slot:
+            return
+        request.slot = False
+        client = request.client
+        with self._client_locks.lock_for(client):
+            remaining = self._client_inflight.get(client, 0) - 1
+            if remaining > 0:
+                self._client_inflight[client] = remaining
+            else:
+                self._client_inflight.pop(client, None)
 
     def _finish_batch(self, requests: Sequence[_PendingQuery]) -> None:
         for request in requests:
-            self._release_client(request.client)
+            self._release_slot(request)
         with self._cv:
             self._inflight_batches -= 1
             self._cv.notify_all()

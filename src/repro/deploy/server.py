@@ -84,6 +84,10 @@ class ServerStats:
             "vault_embedding_cache_events_total",
             help="backbone-embedding cache behaviour (one event per batch)",
         )
+        self._sink_errors = self.registry.counter(
+            "vault_sink_errors_total",
+            help="telemetry sink calls that raised on the serving path",
+        )
 
     # ------------------------------------------------------------------
     # Recording (called by VaultServer)
@@ -100,6 +104,9 @@ class ServerStats:
 
     def record_embedding_cache(self, hit: bool) -> None:
         self._embedding_cache.inc(result="hit" if hit else "miss")
+
+    def record_sink_error(self, sink: str) -> None:
+        self._sink_errors.inc(sink=sink)
 
     # ------------------------------------------------------------------
     # The original ServerStats read API (now registry-backed)
@@ -134,6 +141,12 @@ class ServerStats:
     @property
     def embedding_cache_misses(self) -> int:
         return int(self._embedding_cache.value(result="miss"))
+
+    def sink_errors(self, sink: Optional[str] = None) -> int:
+        """Sink calls that raised, for one ``sink`` or in total."""
+        if sink is not None:
+            return int(self._sink_errors.value(sink=sink))
+        return int(sum(value for _, value in self._sink_errors.series()))
 
     @property
     def mean_latency_seconds(self) -> float:
@@ -186,7 +199,7 @@ class _PendingQuery:
     """One admitted request: target ids, owner, and a completion latch."""
 
     __slots__ = ("node_ids", "client", "labels", "error", "_done", "queued_at",
-                 "degraded", "corr_id")
+                 "degraded", "corr_id", "slot")
 
     def __init__(self, node_ids: Tuple[int, ...], client: str,
                  corr_id: Optional[str] = None) -> None:
@@ -206,6 +219,9 @@ class _PendingQuery:
         #: correlation id minted at admission (None without a logger);
         #: joins this query's log lines to its batch's timeline.
         self.corr_id = corr_id
+        #: True while the request holds a scheduler per-client in-flight
+        #: slot; only such a request gives one back when it finishes.
+        self.slot = False
 
     def _resolve(self, labels: np.ndarray, degraded: bool = False) -> None:
         self.labels = labels
@@ -623,7 +639,10 @@ class VaultServer:
         supervisor's retry loop, the backbone-only fallback, and every
         sink (stats, health, audit, tenant ledger, profiler, and the
         scheduler's ``pipeline`` stats when given). Every request is
-        resolved or failed before this returns. The profiler and the
+        resolved or failed before this returns: the sinks observe a batch
+        the enclave has already answered, so a sink that raises is counted
+        (``vault_sink_errors_total``) and skipped, never allowed to strand
+        the answers or stop the scheduler's worker. The profiler and the
         supervisor are read once per batch, so attaching or detaching
         either takes effect from the next batch on both entries.
         """
@@ -638,21 +657,15 @@ class VaultServer:
         log = self.logger
         batch_seq = next(self._batch_seqs)
         record = tracer.open_record("query", total)
+        sink = self._sink
         on_retry = None
         if log is not None:
-            # join lines: every admitted query names the batch it ran in,
-            # so corr ids map to exactly one batch_seq.
-            for request in requests:
-                if request.corr_id is not None:
-                    log.emit(
-                        "batch", corr=request.corr_id,
-                        tenant=self._tenant_token(request.client),
-                        batch_seq=batch_seq, size_count=len(request.node_ids),
-                    )
+            sink("log", self._log_requests, log, "batch", requests,
+                 sized=True, batch_seq=batch_seq)
 
             def on_retry(attempt, exc):
-                log.emit("retry", batch_seq=batch_seq, attempt_count=attempt,
-                         error=type(exc).__name__)
+                sink("log", log.emit, "retry", batch_seq=batch_seq,
+                     attempt_count=attempt, error=type(exc).__name__)
 
         def ecall():
             return session.predict_microbatch_precomputed(
@@ -679,38 +692,93 @@ class VaultServer:
         except BaseException as exc:
             fallback = self._resolve_degraded(staged, exc, supervisor)
             if fallback is None:
-                tracer.close_record(record, staged.backbone_seconds, None)
+                sink("tracer", tracer.close_record, record,
+                     staged.backbone_seconds, None)
                 self._fail_batch(requests, exc)
                 return
             labels, profile = fallback
             degraded = True
         execute_end = time.perf_counter()
-        tracer.close_record(
-            record, staged.backbone_seconds, profile.total_seconds
-        )
+        sink("tracer", tracer.close_record, record, staged.backbone_seconds,
+             profile.total_seconds)
         execute_seconds = execute_end - execute_start
         flat = [node for ids in node_lists for node in ids]
         unique = len(set(flat))
-        self.stats.record_batch(flat, profile)
+        # The sinks run before the answers are released, so a caller that
+        # reads the stats after result() sees its own batch.
+        sink("stats", self.stats.record_batch, flat, profile)
         if pipeline is not None:
-            pipeline.record_batch(
-                len(requests), total, unique,
-                staged.stage_end - staged.stage_start, execute_seconds,
-                staged.overlapped,
+            sink("pipeline", pipeline.record_batch,
+                 len(requests), total, unique,
+                 staged.stage_end - staged.stage_start, execute_seconds,
+                 staged.overlapped)
+        if self.health is not None or self.monitor is not None:
+            sink("health", self._defer_health, requests, profile)
+        sink("audit", self._audit_served, requests)
+        cost_model = session.enclave.config.cost_model
+        ecall_count = session.ecall_count - ecalls_before if counted else 0
+        if tenancy is not None:
+            # deferred attribution: snapshot the raw inputs only; the
+            # ledger folds them at read time (report/reconcile/quota).
+            sink("ledger", tenancy.defer_batch,
+                 tuple((request.client, request.node_ids)
+                       for request in requests),
+                 profile, ecall_count, cost_model, execute_seconds)
+        if log is not None and not degraded:
+            sink("log", log.emit,
+                 "ecall", batch_seq=batch_seq, queries_count=len(requests),
+                 unique_count=unique, seconds=execute_seconds,
+                 pages_count=profile.estimated_pages(cost_model),
+                 payload_bytes=profile.payload_bytes)
+        offset = 0
+        for request in requests:
+            request._resolve(
+                labels[offset:offset + len(request.node_ids)], degraded
             )
-        health = self.health
-        if health is not None or self.monitor is not None:
-            with self._health_lock:
-                pending = self._health_pending
-                pending.append((
-                    tuple((request.node_ids, request.client)
-                          for request in requests),
-                    profile,
-                ))
-                drain = len(pending) >= self._health_drain_at
-            if drain:
-                self.flush_health()
-        now = 0.0 if health is None else health.now
+            offset += len(request.node_ids)
+        if log is not None:
+            flags = {"degraded": True} if degraded else {}
+            sink("log", self._log_requests, log, "resolve", requests,
+                 timed=True, **flags)
+        if profiler is not None:
+            # one raw tuple; the timeline and its cost record are built
+            # when a reader asks, off the serving path
+            sink("profiler", profiler.record_stamps,
+                 batch_seq, len(requests), total, unique,
+                 (staged.queued_at, staged.collect_start, staged.stage_start,
+                  staged.stage_end, execute_start, execute_end,
+                  time.perf_counter()),
+                 staged.overlapped, profile, ecall_count, cost_model)
+
+    def _sink(self, name: str, fn, *args, **kwargs) -> None:
+        """Run one telemetry sink; an error is counted, never raised.
+
+        A sink observes a batch the enclave has already answered, so its
+        failure must not strand the answers; ``vault_sink_errors_total``
+        (labelled by sink) is the signal an operator alerts on.
+        """
+        try:
+            fn(*args, **kwargs)
+        except Exception:
+            self.stats.record_sink_error(name)
+
+    def _defer_health(self, requests: Sequence["_PendingQuery"],
+                      profile) -> None:
+        """Buffer one batch for the health/monitor replay."""
+        with self._health_lock:
+            pending = self._health_pending
+            pending.append((
+                tuple((request.node_ids, request.client)
+                      for request in requests),
+                profile,
+            ))
+            drain = len(pending) >= self._health_drain_at
+        if drain:
+            self.flush_health()
+
+    def _audit_served(self, requests: Sequence["_PendingQuery"]) -> None:
+        """One ``query_served`` audit event per client of the batch."""
+        now = 0.0 if self.health is None else self.health.now
         per_client: Dict[str, int] = {}
         for request in requests:
             per_client[request.client] = (
@@ -720,46 +788,28 @@ class VaultServer:
             self.telemetry.audit.append(
                 "query_served", time=now, client=client, batch_count=count,
             )
-        cost_model = session.enclave.config.cost_model
-        ecall_count = session.ecall_count - ecalls_before if counted else 0
-        if tenancy is not None:
-            # deferred attribution: snapshot the raw inputs only; the
-            # ledger folds them at read time (report/reconcile/quota).
-            tenancy.defer_batch(
-                tuple((request.client, request.node_ids)
-                      for request in requests),
-                profile, ecall_count, cost_model, execute_seconds,
-            )
-        if log is not None and not degraded:
-            log.emit(
-                "ecall", batch_seq=batch_seq, queries_count=len(requests),
-                unique_count=unique, seconds=execute_seconds,
-                pages_count=profile.estimated_pages(cost_model),
-                payload_bytes=profile.payload_bytes,
-            )
-        offset = 0
+
+    def _log_requests(self, log, event: str,
+                      requests: Sequence["_PendingQuery"], sized: bool = False,
+                      timed: bool = False, **fields) -> None:
+        """One correlated log line per request that carries a corr id.
+
+        ``batch`` lines join every admitted query to the batch it ran in,
+        so corr ids map to exactly one batch_seq; ``resolve`` and ``drop``
+        lines close them. ``sized`` adds the request's node count,
+        ``timed`` the seconds since its admission.
+        """
         for request in requests:
-            request._resolve(
-                labels[offset:offset + len(request.node_ids)], degraded
-            )
-            offset += len(request.node_ids)
-            if log is not None and request.corr_id is not None:
-                flags = {"degraded": True} if degraded else {}
-                log.emit(
-                    "resolve", corr=request.corr_id,
-                    tenant=self._tenant_token(request.client),
-                    seconds=time.perf_counter() - request.queued_at, **flags,
-                )
-        if profiler is not None:
-            # one raw tuple; the timeline and its cost record are built
-            # when a reader asks, off the serving path
-            profiler.record_stamps(
-                batch_seq, len(requests), total, unique,
-                (staged.queued_at, staged.collect_start, staged.stage_start,
-                 staged.stage_end, execute_start, execute_end,
-                 time.perf_counter()),
-                staged.overlapped, profile, ecall_count, cost_model,
-            )
+            if request.corr_id is None:
+                continue
+            extra = {}
+            if sized:
+                extra["size_count"] = len(request.node_ids)
+            if timed:
+                extra["seconds"] = time.perf_counter() - request.queued_at
+            log.emit(event, corr=request.corr_id,
+                     tenant=self._tenant_token(request.client),
+                     **fields, **extra)
 
     def _resolve_degraded(self, staged: "_StagedBatch", exc: BaseException,
                           supervisor):
@@ -798,15 +848,12 @@ class VaultServer:
         """Fail every request of a batch: refund, fail, log ``drop``."""
         with self._budget_lock:
             self._budget_used -= sum(len(request.node_ids) for request in requests)
-        log = self.logger
         for request in requests:
             request._fail(exc)
-            if log is not None and request.corr_id is not None:
-                log.emit(
-                    "drop", corr=request.corr_id,
-                    tenant=self._tenant_token(request.client),
-                    error=type(exc).__name__,
-                )
+        log = self.logger
+        if log is not None:
+            self._sink("log", self._log_requests, log, "drop", requests,
+                       error=type(exc).__name__)
 
     def _budget_exhausted(self, client: str, batch_len: int, used: int) -> None:
         """Alert, audit, and refuse: a client ran its query budget dry."""
@@ -841,23 +888,26 @@ class VaultServer:
         # The whole replay runs under the lock: the health layer itself is
         # not thread-safe, and two concurrent flushes must not interleave
         # batches out of arrival order. Appends contend only for the rare
-        # drain, not per query.
+        # drain, not per query. The buffer is emptied before the replay,
+        # so an observer that raises loses the rest of this drain rather
+        # than having every batch before it replayed again next time.
         with self._health_lock:
             pending = self._health_pending
             if not pending:
                 return
+            batches = list(pending)
+            pending.clear()
             health, monitor = self.health, self.monitor
             observe_batch = None if health is None else health.observe_batch
             observe_client = None if monitor is None else monitor.observe
             now = 0.0 if health is None else health.now
-            for entries, profile in pending:
+            for entries, profile in batches:
                 if observe_batch is not None:
                     observe_batch(sum(len(ids) for ids, _ in entries), profile)
                     now = health.now
                 if observe_client is not None:
                     for node_ids, client in entries:
                         observe_client(client, list(node_ids), now)
-            pending.clear()
 
     def serve(
         self,

@@ -57,6 +57,11 @@ class GCNBackbone(nn.Module):
             self.layers.append(nn.GCNConv(fan_in, fan_out, rng=rng))
             self.dropouts.append(nn.Dropout(dropout, rng=rng))
 
+    def prepare_input(self, x) -> sp.csr_matrix:
+        """The features as a constant CSR matrix: the first layer's dropout
+        and product then touch only the stored (non-zero) entries."""
+        return sp.csr_matrix(x, dtype=np.float64)
+
     @property
     def num_layers(self) -> int:
         return len(self.layers)
@@ -69,7 +74,7 @@ class GCNBackbone(nn.Module):
         self, x, adj_norm: sp.spmatrix
     ) -> List[nn.Tensor]:
         """Return every layer's output (hidden: post-ReLU; final: raw logits)."""
-        h = x if isinstance(x, nn.Tensor) else nn.Tensor(x)
+        h = x if isinstance(x, nn.Tensor) or sp.issparse(x) else nn.Tensor(x)
         outputs: List[nn.Tensor] = []
         last = self.num_layers - 1
         for index, (conv, drop) in enumerate(zip(self.layers, self.dropouts)):

@@ -39,6 +39,11 @@ class MlpBackbone(nn.Module):
             self.layers.append(nn.Linear(fan_in, fan_out, rng=rng))
             self.dropouts.append(nn.Dropout(dropout, rng=rng))
 
+    def prepare_input(self, x) -> sp.csr_matrix:
+        """The features as a constant CSR matrix: the first layer's dropout
+        and product then touch only the stored (non-zero) entries."""
+        return sp.csr_matrix(x, dtype=np.float64)
+
     @property
     def num_layers(self) -> int:
         return len(self.layers)
@@ -51,7 +56,7 @@ class MlpBackbone(nn.Module):
         self, x, adj_norm: Optional[sp.spmatrix] = None
     ) -> List[nn.Tensor]:
         """Per-layer outputs; ``adj_norm`` is ignored (graph-free model)."""
-        h = x if isinstance(x, nn.Tensor) else nn.Tensor(x)
+        h = x if isinstance(x, nn.Tensor) or sp.issparse(x) else nn.Tensor(x)
         outputs: List[nn.Tensor] = []
         last = self.num_layers - 1
         for index, (layer, drop) in enumerate(zip(self.layers, self.dropouts)):

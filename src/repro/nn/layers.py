@@ -9,6 +9,10 @@ itself is adjacency-agnostic: the (sparse, constant) ``Â`` is passed at call
 time, which is exactly what lets GNNVault swap the substitute adjacency
 (untrusted world) for the real adjacency (enclave) around the same layer
 implementation.
+
+The first layer of a model may also be fed its input features as a
+constant ``scipy.sparse`` matrix: ``Linear``, ``GCNConv`` and ``Dropout``
+then touch only the stored entries (see :func:`_project`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,17 @@ import scipy.sparse as sp
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor, dropout, sparse_matmul
+
+
+def _project(x, weight: Tensor) -> Tensor:
+    """``x @ weight`` for a dense tensor or a constant sparse input.
+
+    The sparse product's backward yields ``weight.grad = xᵀ @ grad``, as
+    the dense one does; ``x`` itself never needs a gradient.
+    """
+    if sp.issparse(x):
+        return sparse_matmul(x, weight)
+    return x @ weight
 
 
 class Linear(Module):
@@ -42,8 +57,8 @@ class Linear(Module):
         )
         self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
+    def forward(self, x) -> Tensor:
+        out = _project(x, self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out
@@ -76,13 +91,13 @@ class GCNConv(Module):
         )
         self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
 
-    def forward(self, x: Tensor, adj_norm: sp.spmatrix) -> Tensor:
+    def forward(self, x, adj_norm: sp.spmatrix) -> Tensor:
         if adj_norm.shape[0] != x.shape[0]:
             raise ValueError(
                 f"adjacency has {adj_norm.shape[0]} rows but features have "
                 f"{x.shape[0]} nodes"
             )
-        out = sparse_matmul(adj_norm, x @ self.weight)
+        out = sparse_matmul(adj_norm, _project(x, self.weight))
         if self.bias is not None:
             out = out + self.bias
         return out
@@ -120,7 +135,11 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout module (active only in training mode)."""
+    """Inverted dropout module (active only in training mode).
+
+    Accepts a dense tensor or a constant sparse input (see
+    :func:`~repro.nn.tensor.dropout`).
+    """
 
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -129,7 +148,7 @@ class Dropout(Module):
         self.p = p
         self._rng = rng if rng is not None else np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         return dropout(x, self.p, training=self.training, rng=self._rng)
 
     def __repr__(self) -> str:

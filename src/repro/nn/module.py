@@ -140,6 +140,16 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    def prepare_input(self, x):
+        """This model's form of a constant input matrix ``x`` for training.
+
+        A dense :class:`Tensor` by default. A model whose first layer takes
+        a sparse input (``Dropout``, ``Linear``, ``GCNConv``) overrides this
+        to return CSR, so its first-layer work scales with the stored
+        entries rather than with ``n × d``.
+        """
+        return Tensor(x)
+
 
 class ModuleList(Module):
     """Hold an ordered list of submodules, registered for discovery."""

@@ -326,9 +326,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """Product of a constant sparse matrix with a dense tensor.
 
-    This is the GNN message-passing primitive ``Â @ H``. The sparse operand
-    carries no gradient (adjacency is data); the gradient w.r.t. ``x`` is
-    ``Âᵀ @ grad``.
+    This is the GNN message-passing primitive ``Â @ H``, and the first
+    layer's projection ``X @ W`` when the input features are fed sparse.
+    The sparse operand carries no gradient (adjacency and features are
+    data); the gradient w.r.t. ``x`` is ``Âᵀ @ grad``.
     """
     csr = matrix.tocsr()
     out_data = csr @ x.data
@@ -497,13 +498,29 @@ def softmax(x: Tensor, axis: int = 1) -> Tensor:
     return exp(log_softmax(x, axis=axis))
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` at train time."""
+def dropout(x, p: float, training: bool, rng: Optional[np.random.Generator] = None):
+    """Inverted dropout: zero activations with probability ``p`` at train time.
+
+    ``x`` may also be a constant ``scipy.sparse`` matrix (a model's input
+    features). The same full-shape uniform draw is taken, so the generator
+    stream and the kept positions match the dense path, but thresholding
+    and scaling touch only the stored entries: the result is a CSR matrix
+    with ``x``'s structure whose values are bitwise the dense path's at
+    those positions (dropped entries are stored as explicit zeros).
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     rng = rng if rng is not None else np.random.default_rng()
+    if sp.issparse(x):
+        csr = x.tocsr()
+        draw = rng.random(csr.shape)
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        scale = (draw[rows, csr.indices] >= p) / (1.0 - p)
+        return sp.csr_matrix(
+            (csr.data * scale, csr.indices, csr.indptr), shape=csr.shape
+        )
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     out_data = x.data * mask
 

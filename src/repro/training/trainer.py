@@ -132,6 +132,10 @@ def train_node_classifier(
     ``model`` must expose ``forward(x, adj) -> logits`` over trainable
     parameters; the adjacency is whichever graph the phase calls for
     (substitute for backbones, real for the original reference model).
+    The input is built once, in the form the model asks for
+    (``model.prepare_input``: CSR for the GCN and MLP backbones, whose
+    first layer then touches only the stored entries of the bag-of-words
+    features; a dense tensor otherwise).
     Restores the best-validation weights before returning. When
     ``telemetry`` is given, per-epoch loss/accuracy/duration land in its
     metrics registry under ``phase="classifier"``.
@@ -149,6 +153,7 @@ def train_node_classifier(
     losses: List[float] = []
     vals: List[float] = []
     epochs_run = 0
+    inputs = model.prepare_input(features)
 
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
@@ -156,14 +161,14 @@ def train_node_classifier(
         schedule.apply(optimizer, epoch)
         model.train()
         optimizer.zero_grad()
-        logits = model(nn.Tensor(features), adj_norm)
+        logits = model(inputs, adj_norm)
         loss = nn.cross_entropy(logits, labels, mask=split.train)
         loss.backward()
         optimizer.step()
         losses.append(loss.item())
 
         model.eval()
-        eval_logits = model(nn.Tensor(features), adj_norm).data
+        eval_logits = model(inputs, adj_norm).data
         val_acc = _evaluate(eval_logits, labels, split.val)
         vals.append(val_acc)
         epoch_telemetry.epoch(
@@ -182,7 +187,7 @@ def train_node_classifier(
 
     model.load_state_dict(best_state)
     model.eval()
-    final_logits = model(nn.Tensor(features), adj_norm).data
+    final_logits = model(inputs, adj_norm).data
     test_acc = _evaluate(final_logits, labels, split.test)
     result = TrainResult(best_val, test_acc, epochs_run, losses, vals)
     epoch_telemetry.finish(result)

@@ -223,6 +223,49 @@ class TestBackpressureAndBudget:
             # the in-flight slot is released on completion
             scheduler.submit([2], client="greedy").result(timeout=10.0)
 
+    def test_slotless_request_never_frees_a_held_slot(self, make_server):
+        # The ledger's quota flips while a request admitted without a
+        # slot (uncapped policy) is still queued; that request finishing
+        # must not free the slot the next, capped request holds.
+        from repro.obs.tenancy import TenantCostLedger
+
+        server = make_server()
+        ledger = TenantCostLedger()
+        quota = {"over": False}
+        ledger.over_quota = lambda client: quota["over"]
+        server.attach_tenancy(ledger)
+        entered, release = threading.Event(), threading.Event()
+        execute = server._execute_batch
+
+        def gated_execute(staged, pipeline=None):
+            if any(request.node_ids == (1,) for request in staged.requests):
+                entered.set()
+                assert release.wait(timeout=10.0)
+            execute(staged, pipeline)
+
+        server._execute_batch = gated_execute
+        policy = BatchPolicy(max_batch_size=1, max_queue_depth=8)
+        with MicroBatchScheduler(server, policy) as scheduler:
+            with scheduler.paused():
+                slotless = scheduler.submit([0], client="greedy")
+                quota["over"] = True  # backpressure cap of 1 engages
+                held = scheduler.submit([1], client="greedy")
+                with pytest.raises(SchedulerOverloaded):
+                    scheduler.submit([2], client="greedy")
+            slotless.result(timeout=10.0)
+            # the worker reaches the held request only after the slotless
+            # one has finished and released whatever it holds
+            assert entered.wait(timeout=10.0)
+            try:
+                with pytest.raises(SchedulerOverloaded):
+                    scheduler.submit([3], client="greedy")
+                assert scheduler._client_inflight == {"greedy": 1}
+            finally:
+                release.set()
+            held.result(timeout=10.0)
+            assert scheduler._client_inflight == {}
+            scheduler.submit([4], client="greedy").result(timeout=10.0)
+
     def test_query_budget_enforced_across_clients(self, make_server):
         server = make_server(query_budget=10)
         with MicroBatchScheduler(server, BatchPolicy(max_batch_size=4)) as sched:
@@ -324,3 +367,50 @@ class TestPipelineStats:
         )
         # the histogram is not a scalar and must not become a gauge
         assert registry.get("pipeline_batch_size_histogram") is None
+
+
+class TestSinkErrors:
+    """A telemetry sink that raises never strands an answered batch."""
+
+    def test_raising_audit_sink_still_answers(self, make_server, trained_vault,
+                                              monkeypatch):
+        server = make_server()
+        expected, _ = server._session.predict(trained_vault.graph.features)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("audit store unavailable")
+
+        monkeypatch.setattr(server.telemetry.audit, "append", broken)
+        nodes = [0, 5, 9]
+        labels = server.query_batch(nodes)
+        assert labels.tobytes() == expected[nodes].tobytes()
+        assert server.stats.sink_errors("audit") == 1
+        # answered, so the charge stands and nothing was dropped
+        assert server._budget_used == len(nodes)
+        with MicroBatchScheduler(server, BatchPolicy(max_batch_size=2)) as sched:
+            for batch in ([1, 2], [3], [4, 6, 7]):
+                answer = sched.query_batch(batch, timeout=10.0)
+                assert answer.tobytes() == expected[batch].tobytes()
+        assert server.stats.sink_errors("audit") == 4
+        assert server.stats.sink_errors() == 4
+
+    def test_raising_health_observer_never_replays_a_batch(
+            self, make_server, monkeypatch):
+        from repro.obs.health import HealthMonitor
+
+        server = make_server()
+        seen = []
+        observe = HealthMonitor.observe_batch
+
+        def flaky(self, count, profile):
+            seen.append(profile)  # held, so no id is reused
+            if len(seen) == 70:  # inside the second drain
+                raise RuntimeError("health store unavailable")
+            return observe(self, count, profile)
+
+        monkeypatch.setattr(HealthMonitor, "observe_batch", flaky)
+        for step in range(200):
+            server.query_batch([step % 50])
+        server.flush_health()
+        assert server.stats.sink_errors("health") == 1
+        assert len({id(profile) for profile in seen}) == len(seen)

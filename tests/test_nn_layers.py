@@ -104,3 +104,59 @@ class TestDropoutModule:
 
     def test_repr(self):
         assert "0.5" in repr(nn.Dropout(0.5))
+
+
+def _binary_features(rng, shape=(40, 30), density=0.1):
+    return (rng.random(shape) < density).astype(np.float64)
+
+
+class TestSparseInput:
+    """A constant CSR input takes the dense path's values at stored entries."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_csr_dropout_matches_dense_bitwise(self, rng, p):
+        dense = _binary_features(rng)
+        csr = sp.csr_matrix(dense)
+        dense_rng, sparse_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = nn.dropout(nn.Tensor(dense), p, True, dense_rng).data
+        got = nn.dropout(csr, p, True, sparse_rng)
+        assert sp.isspmatrix_csr(got)
+        # structure kept, only the values replaced
+        np.testing.assert_array_equal(got.indptr, csr.indptr)
+        np.testing.assert_array_equal(got.indices, csr.indices)
+        rows, cols = csr.nonzero()
+        assert got.data.tobytes() == want[rows, cols].tobytes()
+        assert got.toarray().tobytes() == want.tobytes()
+        assert dense_rng.bit_generator.state == sparse_rng.bit_generator.state
+
+    def test_csr_dropout_identity_in_eval(self, rng):
+        csr = sp.csr_matrix(_binary_features(rng))
+        assert nn.dropout(csr, 0.5, False, rng) is csr
+        layer = nn.Dropout(0.5, rng=rng)
+        layer.training = False
+        assert layer(csr) is csr
+
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    def test_csr_forward_backward_matches_dense(self, rng, kind):
+        from repro.models import GCNBackbone, MlpBackbone
+
+        graph = make_sbm_graph(num_nodes=40, num_classes=3, num_features=30,
+                               avg_degree=4.0, seed=1)
+        adj = gcn_normalize(graph.adjacency)
+        features = _binary_features(rng)
+        cls = GCNBackbone if kind == "gcn" else MlpBackbone
+        grads = []
+        for dense in (True, False):
+            model = cls(30, (16, 8, 3), dropout=0.5, seed=4)
+            x = nn.Tensor(features) if dense else model.prepare_input(features)
+            assert sp.issparse(x) != dense
+            logits = model(x, adj)
+            loss = nn.cross_entropy(logits, graph.labels)
+            loss.backward()
+            grads.append({name: param.grad
+                          for name, param in model.named_parameters()})
+        want, got = grads
+        assert want.keys() == got.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                       atol=1e-15, err_msg=name)

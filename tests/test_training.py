@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.datasets import per_class_split
 from repro.graph import gcn_normalize
 from repro.models import GCNBackbone, make_rectifier
 from repro.training import (
@@ -108,6 +110,91 @@ class TestTrainNodeClassifier:
             TrainConfig(epochs=5, patience=5),
         )
         assert not model.training
+
+
+class TestSparseInputTraining:
+    """GCN/MLP backbones train on CSR input: same weights up to rounding."""
+
+    @staticmethod
+    def _run(monkeypatch, dataset, seed, dense):
+        from repro.experiments import run_gnnvault
+        from repro.models import MlpBackbone
+
+        with monkeypatch.context() as patch:
+            if dense:
+                for cls in (GCNBackbone, MlpBackbone):
+                    patch.setattr(cls, "prepare_input", nn.Module.prepare_input)
+            return run_gnnvault(
+                dataset=dataset, seed=seed, schemes=("series",),
+                train_config=TrainConfig(epochs=60, patience=60),
+                train_original=False,
+            )
+
+    @staticmethod
+    def _labels(run):
+        backbone_layers = run.backbone_embeddings()
+        rectifier = run.rectifiers["series"]
+        rectifier.eval()
+        logits = rectifier(
+            [nn.Tensor(e) for e in backbone_layers],
+            run.graph.normalized_adjacency(),
+        ).data
+        return backbone_layers[-1].argmax(axis=1), logits.argmax(axis=1)
+
+    @pytest.mark.parametrize(
+        "dataset,seed",
+        [("cora", 1), ("cora", 2), ("citeseer", 1), ("citeseer", 2)],
+    )
+    def test_trained_weights_agreement(self, monkeypatch, dataset, seed):
+        dense = self._run(monkeypatch, dataset, seed, dense=True)
+        sparse = self._run(monkeypatch, dataset, seed, dense=False)
+        for want_model, got_model in (
+            (dense.backbone, sparse.backbone),
+            (dense.rectifiers["series"], sparse.rectifiers["series"]),
+        ):
+            want, got = want_model.state_dict(), got_model.state_dict()
+            assert want.keys() == got.keys()
+            for name in want:
+                np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                           atol=1e-9, err_msg=name)
+        assert sparse.p_bb == dense.p_bb
+        assert sparse.p_rec == dense.p_rec
+        for want_labels, got_labels in zip(self._labels(dense),
+                                           self._labels(sparse)):
+            assert np.mean(want_labels == got_labels) == 1.0
+
+    def test_no_dense_product_touches_the_feature_matrix(self, monkeypatch):
+        from repro.graph import make_sbm_graph
+        from repro.nn import tensor as tensor_module
+
+        graph = make_sbm_graph(num_nodes=90, num_classes=3, num_features=70,
+                               avg_degree=5.0, seed=3)
+        split = per_class_split(graph.labels, train_per_class=8, seed=0)
+        adj = gcn_normalize(graph.adjacency)
+        full = (graph.num_nodes, graph.num_features)
+
+        def operand_shapes(model):
+            shapes = []
+            dense_matmul = tensor_module.matmul
+
+            def recording(a, b):
+                shapes.extend((a.shape, b.shape))
+                return dense_matmul(a, b)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(tensor_module, "matmul", recording)
+                train_node_classifier(
+                    model, graph.features, adj, graph.labels, split,
+                    TrainConfig(epochs=5, patience=5),
+                )
+            return shapes
+
+        sparse_shapes = operand_shapes(GCNBackbone(70, (16, 3), seed=0))
+        assert sparse_shapes and full not in sparse_shapes
+        # the recorder does see the n x d operand when the input is dense
+        dense_model = GCNBackbone(70, (16, 3), seed=0)
+        monkeypatch.setattr(dense_model, "prepare_input", nn.Tensor)
+        assert full in operand_shapes(dense_model)
 
 
 class TestTrainRectifier:
